@@ -15,8 +15,7 @@
  */
 
 #include "porter/autoscaler.hh"
-#include "porter/chaos_harness.hh"
-#include "porter/crash_harness.hh"
+#include "porter/soak.hh"
 #include "porter/trace.hh"
 #include "sim/log.hh"
 
@@ -154,17 +153,19 @@ main()
     struct CrashRow
     {
         uint64_t sites = 0;
-        porter::CrashSiteResult res;
+        porter::SiteResult res;
     };
     std::vector<CrashRow> crashRows(crashPoints.size());
     bench::runSweep(crashPoints, [&](const CrashPoint &p, size_t i) {
-        porter::CrashEnumConfig cc;
+        porter::SoakConfig cc;
         cc.mechanism = p.mech;
         cc.heapPages = p.pages;
-        const uint64_t sites = porter::countCrashSites(cc);
+        const uint64_t sites =
+            porter::countSites(cc, porter::SiteFault::Crash);
         const uint64_t site = uint64_t(p.frac * double(sites - 1));
         crashRows[i].sites = sites;
-        crashRows[i].res = porter::runCrashAtSite(cc, site);
+        crashRows[i].res =
+            porter::runAtSite(cc, porter::SiteFault::Crash, site);
         bench::recordValue(
             sim::format("crash_recovery.%s.f%02.0f.p%llu.recovery_us",
                         porter::crashMechanismName(p.mech), p.frac * 100,
@@ -219,20 +220,19 @@ main()
     for (double poison : {0.02, 0.1})
         for (uint32_t k : {0u, 1u, 2u})
             rasPoints.push_back({poison, k});
-    std::vector<porter::ChaosReport> rasRows(rasPoints.size());
+    std::vector<porter::SoakReport> rasRows(rasPoints.size());
     bench::runSweep(rasPoints, [&](const RasPoint &p, size_t i) {
-        porter::ChaosConfig cc;
-        cc.mechanism = porter::CrashMechanism::CxlFork;
+        porter::SoakConfig cc = porter::SoakConfig::chaos();
         cc.rounds = 60;
         cc.poisonRate = p.poison;
         cc.replicas = p.replicas;
         cc.transientRate = 0.0;
         cc.crashProb = 0.0;
-        rasRows[i] = porter::runChaosSoak(cc);
+        rasRows[i] = porter::runSoak(cc);
         const std::string tag = sim::format("ras.p%02.0f.k%u",
                                             p.poison * 100, p.replicas);
         bench::recordValue(tag + ".survival",
-                           rasRows[i].survivalFraction());
+                           rasRows[i].checkpointSurvival());
         bench::recordValue(tag + ".replica_peak_kb",
                            double(rasRows[i].peakReplicaBytes) / 1024.0);
         bench::recordValue(tag + ".repairs", double(rasRows[i].repairs));
@@ -245,13 +245,13 @@ main()
     bool rasViolation = false;
     for (size_t i = 0; i < rasPoints.size(); ++i) {
         const RasPoint &p = rasPoints[i];
-        const porter::ChaosReport &r = rasRows[i];
+        const porter::SoakReport &r = rasRows[i];
         rasViolation |= !r.pass;
         t4.addRow({sim::Table::num(p.poison, 2),
                    std::to_string(p.replicas),
                    std::to_string(r.checkpointsPublished),
                    std::to_string(r.checkpointsLost),
-                   sim::Table::num(r.survivalFraction(), 4),
+                   sim::Table::num(r.checkpointSurvival(), 4),
                    std::to_string(r.repairs),
                    std::to_string(r.replicasWritten),
                    sim::Table::num(double(r.peakReplicaBytes) / 1024.0,

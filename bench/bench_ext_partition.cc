@@ -7,13 +7,13 @@
  * ladder (retry -> replica reroute -> warm failover -> cold start)
  * costs in restore-latency tails: P50/P99 of every completed restore,
  * plus the fraction of invocations that fell off the direct rung.
- * Each point is a miniature partition soak (porter/partition_harness)
+ * Each point is a miniature partition soak (porter/soak.hh)
  * with scheduled node cuts, heartbeat quarantines, and split-brain
  * replays disabled so the Bernoulli weather under test is the only
  * signal. Fixed seeds: two runs produce identical output.
  */
 
-#include "porter/partition_harness.hh"
+#include "porter/soak.hh"
 #include "sim/log.hh"
 
 #include "bench_util.hh"
@@ -46,10 +46,9 @@ main()
         return sorted[idx];
     };
 
-    std::vector<porter::PartitionReport> rows(points.size());
+    std::vector<porter::SoakReport> rows(points.size());
     bench::runSweep(points, [&](const Point &p, size_t i) {
-        porter::PartitionConfig cc;
-        cc.mechanism = p.mech;
+        porter::SoakConfig cc = porter::SoakConfig::partition(p.mech);
         cc.rounds = 120;
         cc.severRate = p.severRate;
         cc.degradeRate = p.severRate;
@@ -60,13 +59,13 @@ main()
         cc.scheduledSeverProb = 0.0;
         cc.midPublishSeverProb = 0.0;
         cc.splitBrainEvery = 0;
-        rows[i] = porter::runPartitionSoak(cc);
-        const porter::PartitionReport &r = rows[i];
+        rows[i] = porter::runSoak(cc);
+        const porter::SoakReport &r = rows[i];
         const std::string tag =
             sim::format("partition.%s.r%03.0f.k%u",
                         porter::crashMechanismName(p.mech),
                         p.severRate * 1000, p.replicas);
-        bench::recordValue(tag + ".survival", r.survivalFraction());
+        bench::recordValue(tag + ".survival", r.restoreSurvival());
         bench::recordValue(tag + ".p50_us",
                            percentile(r.restoreLatenciesUs, 0.50));
         bench::recordValue(tag + ".p99_us",
@@ -87,7 +86,7 @@ main()
     bool violation = false;
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
-        const porter::PartitionReport &r = rows[i];
+        const porter::SoakReport &r = rows[i];
         violation |= !r.pass;
         t.addRow({porter::crashMechanismName(p.mech),
                   sim::Table::num(p.severRate, 2),
@@ -102,7 +101,7 @@ main()
                                   1),
                   sim::Table::num(percentile(r.restoreLatenciesUs, 0.99),
                                   1),
-                  sim::Table::num(r.survivalFraction(), 4)});
+                  sim::Table::num(r.restoreSurvival(), 4)});
     }
     t.addNote("Rate 0 is the calm baseline: its tails price the "
               "heartbeat machinery alone. K = 2 buys the reroute rung "

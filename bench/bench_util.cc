@@ -61,8 +61,8 @@ benchClusterConfig(sim::CostParams costs)
     // benches neither walk the restore ladder nor run journal
     // recovery, so a checkpoint-time severance would be an unhandled
     // abort. Severance sweeps live in bench_ext_partition and
-    // tools/partition_soak, which arm it programmatically and own
-    // the recovery protocol.
+    // `tools/soak --mode partition`, which arm it programmatically
+    // and own the recovery protocol.
     if (const char *rate = std::getenv("CXLFORK_PARTITION_RATE")) {
         const double r = std::atof(rate);
         cfg.machine.faults.linkDegradeRate = r;

@@ -50,7 +50,7 @@
  *    output bit-identical to the pre-partition tree). Severance is
  *    deliberately not armed here — generic benches own no restore
  *    ladder or recovery protocol; severance sweeps live in
- *    bench_ext_partition and tools/partition_soak.
+ *    bench_ext_partition and `tools/soak --mode partition`.
  *  - CXLFORK_DEGRADE_FACTOR=<f>: latency multiplier a degraded link
  *    charges (default 4; only meaningful with a partition rate set).
  *  - CXLFORK_HEARTBEAT_K=<n>: consecutive missed heartbeat probes

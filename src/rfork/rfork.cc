@@ -23,10 +23,8 @@ restoreErrorName(RestoreError e)
     return "?";
 }
 
-namespace {
-
 RestoreError
-classify(const sim::SimError &e)
+restoreErrorOf(const sim::SimError &e)
 {
     switch (e.errClass()) {
     case sim::ErrClass::TransientCxl: return RestoreError::TransientFault;
@@ -44,8 +42,6 @@ classify(const sim::SimError &e)
     }
     return RestoreError::Other;
 }
-
-} // namespace
 
 void
 RemoteForkMechanism::stageHandle(
@@ -177,7 +173,7 @@ RemoteForkMechanism::tryRestore(
             out.error = RestoreError::None;
             return out;
         } catch (const sim::SimError &e) {
-            out.error = classify(e);
+            out.error = restoreErrorOf(e);
             out.message = e.what();
             out.origin = e.origin();
             if (out.error == RestoreError::FabricPartition) {

@@ -198,6 +198,9 @@ enum class RestoreError : uint8_t
 
 const char *restoreErrorName(RestoreError e);
 
+/** The RestoreError tryRestore() reports for a thrown SimError. */
+RestoreError restoreErrorOf(const sim::SimError &e);
+
 /** How tryRestore() retries transient failures, in simulated time. */
 struct RestoreRetryPolicy
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * The chaos soak (porter/chaos_harness.hh) as a ctest: thousands of
+ * The chaos soak (porter/soak.hh, chaos layer) as a ctest: thousands of
  * invocations per mechanism under combined poison/transient/crash
  * injection, the negative control that proves losses are visible, and
  * report-level determinism. Labeled `chaos` so CI runs the suite
@@ -12,20 +12,19 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/chaos_harness.hh"
+#include "porter/soak.hh"
 
 namespace cxlfork {
 namespace {
 
-using porter::ChaosConfig;
-using porter::ChaosReport;
 using porter::CrashMechanism;
+using porter::SoakConfig;
+using porter::SoakReport;
 
-ChaosConfig
+SoakConfig
 soakConfig(CrashMechanism mech, uint64_t rounds = 600)
 {
-    ChaosConfig cfg;
-    cfg.mechanism = mech;
+    SoakConfig cfg = SoakConfig::chaos(mech);
     cfg.rounds = rounds;
     return cfg;
 }
@@ -37,13 +36,13 @@ class ChaosSoakAllMechanisms
 
 TEST_P(ChaosSoakAllMechanisms, HoldsEveryInvariant)
 {
-    const ChaosReport rep = porter::runChaosSoak(soakConfig(GetParam()));
+    const SoakReport rep = porter::runSoak(soakConfig(GetParam()));
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.invocations, 1000u) << "soak too short to mean much";
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_GT(rep.crashesInjected, 0u) << "crash arm never fired";
     EXPECT_EQ(rep.framesLeaked, 0u);
-    EXPECT_GE(rep.survivalFraction(), 0.9)
+    EXPECT_GE(rep.checkpointSurvival(), 0.9)
         << "replication should keep nearly every checkpoint restorable";
 }
 
@@ -66,8 +65,8 @@ TEST(ChaosSoak, RepairLadderActuallyExercised)
     // CXLfork keeps its checkpoints on the device, so the strike
     // injector must hit live frames and the ladder must repair them —
     // a soak where nothing ever breaks proves nothing.
-    const ChaosReport rep =
-        porter::runChaosSoak(soakConfig(CrashMechanism::CxlFork));
+    const SoakReport rep =
+        porter::runSoak(soakConfig(CrashMechanism::CxlFork));
     EXPECT_GT(rep.strikes, 0u);
     EXPECT_GT(rep.repairs, 0u);
     EXPECT_GT(rep.replicasWritten, 0u);
@@ -75,36 +74,65 @@ TEST(ChaosSoak, RepairLadderActuallyExercised)
     EXPECT_GT(rep.recoveries, 0u);
 }
 
+TEST(ChaosSoak, ScrubRepairsAreCounted)
+{
+    // With no restores, only the scrubber can find and repair struck
+    // frames, so every repair the RAS layer made is a scrub repair.
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    cfg.restoresPerRound = 0;
+    const SoakReport rep = porter::runSoak(cfg);
+    EXPECT_TRUE(rep.pass) << rep.firstViolation;
+    EXPECT_GT(rep.scrubRepairs, 0u) << "the scrubber never repaired";
+    EXPECT_EQ(rep.scrubRepairs, rep.repairs);
+}
+
+TEST(ChaosSoak, PartitionFailuresAreViolations)
+{
+    // The chaos layer owns poison and transients, nothing else. Without
+    // the link layer a fabric partition — on publish, on restore, or on
+    // a verify read — is a defect, not weather, and must stay a
+    // violation.
+    const SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    ASSERT_TRUE(cfg.chaosLayer());
+    ASSERT_FALSE(cfg.linkLayer());
+    EXPECT_TRUE(cfg.tolerates(rfork::RestoreError::PoisonedFrame));
+    EXPECT_TRUE(cfg.tolerates(rfork::RestoreError::TransientFault));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::FabricPartition));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::StaleEpoch));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::CorruptImage));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::Other));
+}
+
 TEST(ChaosSoak, NegativeControlLosesCheckpoints)
 {
     // Replication off: the same storm must now destroy checkpoints —
     // and every loss must still be provable (reclaimed, not corrupt).
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
     cfg.replicas = 0;
-    const ChaosReport rep = porter::runChaosSoak(cfg);
+    const SoakReport rep = porter::runSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.checkpointsLost, 0u)
         << "the harness cannot see losses at all";
     EXPECT_EQ(rep.repairs, 0u);
     EXPECT_EQ(rep.framesLeaked, 0u);
-    EXPECT_LT(rep.survivalFraction(), 0.9);
+    EXPECT_LT(rep.checkpointSurvival(), 0.9);
 }
 
 TEST(ChaosSoak, ReplicationBeatsNoReplication)
 {
-    ChaosConfig with = soakConfig(CrashMechanism::CxlFork);
-    ChaosConfig without = with;
+    SoakConfig with = soakConfig(CrashMechanism::CxlFork);
+    SoakConfig without = with;
     without.replicas = 0;
-    const ChaosReport r2 = porter::runChaosSoak(with);
-    const ChaosReport r0 = porter::runChaosSoak(without);
-    EXPECT_GT(r2.survivalFraction(), r0.survivalFraction());
+    const SoakReport r2 = porter::runSoak(with);
+    const SoakReport r0 = porter::runSoak(without);
+    EXPECT_GT(r2.checkpointSurvival(), r0.checkpointSurvival());
 }
 
 TEST(ChaosSoak, ReportIsDeterministic)
 {
-    const ChaosConfig cfg = soakConfig(CrashMechanism::Criu, 200);
-    const ChaosReport a = porter::runChaosSoak(cfg);
-    const ChaosReport b = porter::runChaosSoak(cfg);
+    const SoakConfig cfg = soakConfig(CrashMechanism::Criu, 200);
+    const SoakReport a = porter::runSoak(cfg);
+    const SoakReport b = porter::runSoak(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.checkpointsPublished, b.checkpointsPublished);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
@@ -137,9 +165,9 @@ class ChaosSoakCoherence
 
 TEST_P(ChaosSoakCoherence, HoldsEveryInvariantWithDirectoryArmed)
 {
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork, 250);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork, 250);
     cfg.coherence = GetParam();
-    const ChaosReport rep = porter::runChaosSoak(cfg);
+    const SoakReport rep = porter::runSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_GT(rep.crashesInjected, 0u) << "crash arm never fired";
@@ -161,11 +189,11 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
     // The coherence knob at Off must reproduce the directory-free soak
     // bit-identically — same storm, same counts, no directory in the
     // loop.
-    const ChaosConfig off = soakConfig(CrashMechanism::Criu, 200);
-    ChaosConfig offExplicit = off;
+    const SoakConfig off = soakConfig(CrashMechanism::Criu, 200);
+    SoakConfig offExplicit = off;
     offExplicit.coherence = cxl::CoherenceMode::Off;
-    const ChaosReport a = porter::runChaosSoak(off);
-    const ChaosReport b = porter::runChaosSoak(offExplicit);
+    const SoakReport a = porter::runSoak(off);
+    const SoakReport b = porter::runSoak(offExplicit);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
     EXPECT_EQ(a.checkpointsLost, b.checkpointsLost);
@@ -176,10 +204,10 @@ TEST(ChaosSoakCoherence, DirectoryOffReportMatchesPreCoherenceSoak)
 
 TEST(ChaosSoak, SeedChangesTheStorm)
 {
-    ChaosConfig cfg = soakConfig(CrashMechanism::CxlFork, 200);
-    const ChaosReport a = porter::runChaosSoak(cfg);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork, 200);
+    const SoakReport a = porter::runSoak(cfg);
     cfg.seed ^= 0x5eedULL;
-    const ChaosReport b = porter::runChaosSoak(cfg);
+    const SoakReport b = porter::runSoak(cfg);
     EXPECT_TRUE(a.pass && b.pass);
     // Different seed, different schedule — at least one observable
     // differs (all equal would suggest the seed is ignored).

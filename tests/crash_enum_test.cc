@@ -1,16 +1,17 @@
 /**
  * @file
- * Deterministic crash-point enumeration: for every mechanism, run
- * checkpoint-publish with a crash injected at every site k, recover
- * the node, and audit the machine-wide invariants (no leaked frames,
- * consistent allocators, lookup restorable-or-absent). Also proves the
- * harness has teeth: reverting two-phase publication to direct put
+ * Deterministic crash-point enumeration (porter/soak.hh,
+ * SiteFault::Crash): for every mechanism, run checkpoint-publish with a
+ * crash injected at every site k, recover the node, and audit the
+ * machine-wide invariants (no leaked frames, consistent allocators,
+ * lookup restorable-or-absent). Also proves the harness has teeth:
+ * reverting two-phase publication to direct put
  * (PublishPolicy::DirectPutUnsafe) must make the enumeration fail.
  */
 
 #include <gtest/gtest.h>
 
-#include "porter/crash_harness.hh"
+#include "porter/soak.hh"
 #include "sim/error.hh"
 
 namespace cxlfork::porter {
@@ -19,11 +20,11 @@ namespace {
 /** Small footprint keeps the per-site cluster rebuild cheap. */
 constexpr uint64_t kHeapPages = 8;
 
-CrashEnumConfig
+SoakConfig
 configFor(CrashMechanism m,
           rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
-    CrashEnumConfig cfg;
+    SoakConfig cfg;
     cfg.mechanism = m;
     cfg.heapPages = kHeapPages;
     cfg.policy = policy;
@@ -31,18 +32,30 @@ configFor(CrashMechanism m,
 }
 
 std::string
-describe(const CrashEnumReport &rep)
+describe(const SiteReport &rep)
 {
     if (rep.pass)
         return "pass";
     return rep.firstViolation;
 }
 
+uint64_t
+count(const SoakConfig &cfg)
+{
+    return countSites(cfg, SiteFault::Crash);
+}
+
+SiteReport
+enumerate(const SoakConfig &cfg)
+{
+    return enumerateSites(cfg, SiteFault::Crash);
+}
+
 TEST(CrashEnum, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = configFor(CrashMechanism::CxlFork);
-    const uint64_t a = countCrashSites(cfg);
-    const uint64_t b = countCrashSites(cfg);
+    const SoakConfig cfg = configFor(CrashMechanism::CxlFork);
+    const uint64_t a = count(cfg);
+    const uint64_t b = count(cfg);
     EXPECT_EQ(a, b);
     // A checkpoint that allocates frames and journals must pass through
     // a meaningful number of crash sites: at least stage, one
@@ -52,29 +65,29 @@ TEST(CrashEnum, SiteCountIsDeterministic)
 
 TEST(CrashEnum, EverySiteRecoversCxlFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::CxlFork));
+    const SiteReport rep =
+        enumerate(configFor(CrashMechanism::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     // The crash-free control must publish a restorable image.
-    const CrashSiteResult &control = rep.results.back();
-    EXPECT_FALSE(control.crashed);
+    const SiteResult &control = rep.results.back();
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.imageAvailable);
     EXPECT_TRUE(control.restored);
 }
 
 TEST(CrashEnum, EverySiteRecoversCriu)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::Criu));
+    const SiteReport rep =
+        enumerate(configFor(CrashMechanism::Criu));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
 
 TEST(CrashEnum, EverySiteRecoversMitosis)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::Mitosis));
+    const SiteReport rep =
+        enumerate(configFor(CrashMechanism::Mitosis));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     // A Mitosis checkpoint dies with its node: no crashed run may
@@ -86,8 +99,8 @@ TEST(CrashEnum, EverySiteRecoversMitosis)
 
 TEST(CrashEnum, EverySiteRecoversLocalFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::LocalFork));
+    const SiteReport rep =
+        enumerate(configFor(CrashMechanism::LocalFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
     for (uint64_t k = 0; k < rep.sites; ++k)
@@ -102,11 +115,11 @@ TEST(CrashEnum, LatePublishCrashesLeaveRestorableImage)
     // the CXL-persistence property the paper's Sec. 5 store relies on.
     for (CrashMechanism m :
          {CrashMechanism::CxlFork, CrashMechanism::Criu}) {
-        const CrashEnumConfig cfg = configFor(m);
-        const uint64_t sites = countCrashSites(cfg);
+        const SoakConfig cfg = configFor(m);
+        const uint64_t sites = count(cfg);
         ASSERT_GT(sites, 0u);
-        const CrashSiteResult last = runCrashAtSite(cfg, sites - 1);
-        EXPECT_TRUE(last.crashed) << crashMechanismName(m);
+        const SiteResult last = runAtSite(cfg, SiteFault::Crash, sites - 1);
+        EXPECT_TRUE(last.fired) << crashMechanismName(m);
         EXPECT_FALSE(last.violation)
             << crashMechanismName(m) << ": " << last.detail;
         EXPECT_TRUE(last.imageAvailable) << crashMechanismName(m);
@@ -119,13 +132,13 @@ TEST(CrashEnum, SomeMidBuildCrashIsCompletedOrReclaimed)
     // Across the sweep, recovery must exercise both verdicts for
     // CXLfork: early crashes reclaim (incomplete image), while the
     // crash at the publish-step site completes the fully-built orphan.
-    const CrashEnumReport rep =
-        enumerateCrashSites(configFor(CrashMechanism::CxlFork));
+    const SiteReport rep =
+        enumerate(configFor(CrashMechanism::CxlFork));
     ASSERT_TRUE(rep.pass) << describe(rep);
     bool sawReclaimed = false;
     bool sawCompleted = false;
     for (uint64_t k = 0; k < rep.sites; ++k) {
-        if (!rep.results[k].crashed)
+        if (!rep.results[k].fired)
             continue;
         if (rep.results[k].imageAvailable)
             sawCompleted = true;
@@ -142,12 +155,12 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
     // lookup() exposes half-built images and the invariant audit must
     // catch at least one site. If this test ever "passes" the sweep,
     // the harness lost its teeth.
-    const CrashEnumReport rep = enumerateCrashSites(configFor(
+    const SiteReport rep = enumerate(configFor(
         CrashMechanism::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
     uint64_t violations = 0;
     bool sawTornExposure = false;
-    for (const CrashSiteResult &r : rep.results) {
+    for (const SiteResult &r : rep.results) {
         violations += r.violation;
         if (r.detail.find("half-built") != std::string::npos)
             sawTornExposure = true;
@@ -164,13 +177,13 @@ TEST(CrashEnum, DirectPutUnsafeFailsTheEnumeration)
 // staged manifest's refcounts exactly once: a double release trips the
 // allocator audit (refcount underflow / early free), a missed one
 // trips the census check (frames still held after reclamation), and
-// auditAll() additionally cross-checks the store's content index.
+// the census additionally cross-checks the store's content index.
 
-CrashEnumConfig
+SoakConfig
 dedupConfigFor(CrashMechanism m,
                rfork::PublishPolicy policy = rfork::PublishPolicy::TwoPhase)
 {
-    CrashEnumConfig cfg = configFor(m, policy);
+    SoakConfig cfg = configFor(m, policy);
     cfg.pageStore.dedup = true;
     cfg.tokenPeriod = 4;
     return cfg;
@@ -178,28 +191,28 @@ dedupConfigFor(CrashMechanism m,
 
 TEST(CrashEnumDedup, SiteCountIsDeterministic)
 {
-    const CrashEnumConfig cfg = dedupConfigFor(CrashMechanism::CxlFork);
-    const uint64_t a = countCrashSites(cfg);
-    EXPECT_EQ(a, countCrashSites(cfg));
+    const SoakConfig cfg = dedupConfigFor(CrashMechanism::CxlFork);
+    const uint64_t a = count(cfg);
+    EXPECT_EQ(a, count(cfg));
     EXPECT_GE(a, kHeapPages + 4);
 }
 
 TEST(CrashEnumDedup, EverySiteRecoversCxlFork)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(CrashMechanism::CxlFork));
+    const SiteReport rep =
+        enumerate(dedupConfigFor(CrashMechanism::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
-    const CrashSiteResult &control = rep.results.back();
-    EXPECT_FALSE(control.crashed);
+    const SiteResult &control = rep.results.back();
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.imageAvailable);
     EXPECT_TRUE(control.restored);
 }
 
 TEST(CrashEnumDedup, EverySiteRecoversCriu)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(dedupConfigFor(CrashMechanism::Criu));
+    const SiteReport rep =
+        enumerate(dedupConfigFor(CrashMechanism::Criu));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }
@@ -208,9 +221,9 @@ TEST(CrashEnumDedup, SharedHeapStillRecoversWithoutDedup)
 {
     // Control: the same folded heap without the content index. Proves
     // any dedup-sweep failure is the store's, not the workload's.
-    CrashEnumConfig cfg = configFor(CrashMechanism::CxlFork);
+    SoakConfig cfg = configFor(CrashMechanism::CxlFork);
     cfg.tokenPeriod = 4;
-    const CrashEnumReport rep = enumerateCrashSites(cfg);
+    const SiteReport rep = enumerate(cfg);
     EXPECT_TRUE(rep.pass) << describe(rep);
 }
 
@@ -218,7 +231,7 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 {
     // The harness keeps its teeth with dedup on: reverting two-phase
     // publication must still be caught.
-    const CrashEnumReport rep = enumerateCrashSites(dedupConfigFor(
+    const SiteReport rep = enumerate(dedupConfigFor(
         CrashMechanism::CxlFork, rfork::PublishPolicy::DirectPutUnsafe));
     EXPECT_FALSE(rep.pass);
 }
@@ -231,31 +244,31 @@ TEST(CrashEnumDedup, DirectPutUnsafeStillFailsTheEnumeration)
 // coherence operation recovers as cleanly as every other site — no
 // leaked frames, no stale visibility, restorable-or-absent lookup.
 
-CrashEnumConfig
+SoakConfig
 coherenceConfigFor(CrashMechanism m, cxl::CoherenceMode mode)
 {
-    CrashEnumConfig cfg = configFor(m);
+    SoakConfig cfg = configFor(m);
     cfg.coherence = mode;
     return cfg;
 }
 
 TEST(CrashEnumCoherence, DirectoryAddsCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(CrashMechanism::CxlFork));
-    const uint64_t hdmh = countCrashSites(
+    const uint64_t off = count(configFor(CrashMechanism::CxlFork));
+    const uint64_t hdmh = count(
         coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_GT(hdmh, off)
         << "an armed directory must walk its own crash sites";
     // And the directory-off sweep is exactly the pre-coherence one.
-    EXPECT_EQ(off, countCrashSites(configFor(CrashMechanism::CxlFork)));
+    EXPECT_EQ(off, count(configFor(CrashMechanism::CxlFork)));
 }
 
 TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmH)
 {
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SiteReport rep = enumerate(
         coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmH));
     EXPECT_TRUE(rep.pass) << describe(rep);
-    const CrashSiteResult &control = rep.results.back();
+    const SiteResult &control = rep.results.back();
     EXPECT_TRUE(control.restored);
 }
 
@@ -265,7 +278,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
     // and its flush leaves unflushed pending stores that recovery must
     // discard — a restore that *succeeds with stale bytes* would fail
     // the page-token verification inside the harness.
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SiteReport rep = enumerate(
         coherenceConfigFor(CrashMechanism::CxlFork, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
@@ -273,7 +286,7 @@ TEST(CrashEnumCoherence, EverySiteRecoversCxlForkHdmD)
 
 TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 {
-    const CrashEnumReport rep = enumerateCrashSites(
+    const SiteReport rep = enumerate(
         coherenceConfigFor(CrashMechanism::Criu, cxl::CoherenceMode::HdmD));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
@@ -287,19 +300,19 @@ TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 // and every site must still recover restorable-or-absent with zero
 // leaks while contention delays stretch the simulated timeline.
 
-CrashEnumConfig
+SoakConfig
 contentionConfigFor(CrashMechanism m)
 {
-    CrashEnumConfig cfg = configFor(m);
+    SoakConfig cfg = configFor(m);
     cfg.contention.enabled = true;
     return cfg;
 }
 
 TEST(CrashEnumContention, QueueAddsNoCrashSites)
 {
-    const uint64_t off = countCrashSites(configFor(CrashMechanism::CxlFork));
+    const uint64_t off = count(configFor(CrashMechanism::CxlFork));
     const uint64_t armed =
-        countCrashSites(contentionConfigFor(CrashMechanism::CxlFork));
+        count(contentionConfigFor(CrashMechanism::CxlFork));
     EXPECT_EQ(armed, off)
         << "the queue model is a latency hook, not a failure domain: "
            "arming it must not shift the deterministic site enumeration";
@@ -307,8 +320,8 @@ TEST(CrashEnumContention, QueueAddsNoCrashSites)
 
 TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(CrashMechanism::CxlFork));
+    const SiteReport rep =
+        enumerate(contentionConfigFor(CrashMechanism::CxlFork));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_EQ(rep.results.size(), rep.sites + 1);
     EXPECT_TRUE(rep.results.back().restored);
@@ -316,8 +329,8 @@ TEST(CrashEnumContention, EverySiteRecoversCxlForkQueued)
 
 TEST(CrashEnumContention, EverySiteRecoversCriuQueued)
 {
-    const CrashEnumReport rep =
-        enumerateCrashSites(contentionConfigFor(CrashMechanism::Criu));
+    const SiteReport rep =
+        enumerate(contentionConfigFor(CrashMechanism::Criu));
     EXPECT_TRUE(rep.pass) << describe(rep);
     EXPECT_TRUE(rep.results.back().restored);
 }

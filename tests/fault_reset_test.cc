@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "porter/chaos_harness.hh"
+#include "porter/soak.hh"
 #include "sim/clock.hh"
 #include "sim/error.hh"
 #include "sim/fault_injector.hh"
@@ -142,14 +142,14 @@ TEST(FaultReset, SweepPointsBackToBackAreIdentical)
     // Two identical chaos points through the sweep executor: each
     // builds all mutable state inside the point, so running the same
     // point twice back-to-back must reproduce the report exactly.
-    porter::ChaosConfig cc;
+    porter::SoakConfig cc = porter::SoakConfig::chaos();
     cc.rounds = 12;
     cc.republishEvery = 4;
     cc.scrubEveryRounds = 4;
-    std::vector<porter::ChaosReport> reports(2);
+    std::vector<porter::SoakReport> reports(2);
     const std::vector<int> points = {0, 1};
     bench::runSweep(points, [&](int, size_t i) {
-        reports[i] = porter::runChaosSoak(cc);
+        reports[i] = porter::runSoak(cc);
     });
     EXPECT_TRUE(reports[0].pass) << reports[0].firstViolation;
     EXPECT_EQ(reports[0].invocations, reports[1].invocations);

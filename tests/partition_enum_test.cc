@@ -6,8 +6,9 @@
  * ladder serves the restore byte-identical from another rung, or the
  * function degrades to an honest cold start; no stale-epoch record
  * may publish and no frame may leak, at any severance point. The
- * partition twin of PR 4's crash enumeration, riding the same site
- * counter. Labeled `partition` (ctest -L partition).
+ * partition twin of the crash enumeration, riding the same site
+ * counter and the same enumerator (porter/soak.hh, SiteFault::Sever).
+ * Labeled `partition` (ctest -L partition).
  */
 
 #include <gtest/gtest.h>
@@ -15,20 +16,20 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/partition_harness.hh"
+#include "porter/soak.hh"
 
 namespace cxlfork {
 namespace {
 
 using porter::CrashMechanism;
-using porter::PartitionConfig;
-using porter::PartitionEnumReport;
+using porter::SiteFault;
+using porter::SiteReport;
+using porter::SoakConfig;
 
-PartitionConfig
+SoakConfig
 enumBaseConfig(CrashMechanism mech)
 {
-    PartitionConfig cfg;
-    cfg.mechanism = mech;
+    SoakConfig cfg = SoakConfig::partition(mech);
     cfg.heapPages = 6; // small heap keeps the site count tractable
     return cfg;
 }
@@ -40,9 +41,9 @@ class PartitionEnumAllMechanisms
 
 TEST_P(PartitionEnumAllMechanisms, RestorableOrAbsentAtEverySite)
 {
-    const PartitionConfig cfg = enumBaseConfig(GetParam());
-    const PartitionEnumReport rep =
-        porter::enumeratePartitionSites(cfg);
+    const SoakConfig cfg = enumBaseConfig(GetParam());
+    const SiteReport rep =
+        porter::enumerateSites(cfg, SiteFault::Sever);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.sites, 0u) << "no transaction sites to sever at all";
     // sites + 1: every severance point plus the sever-free control.
@@ -54,7 +55,7 @@ TEST_P(PartitionEnumAllMechanisms, RestorableOrAbsentAtEverySite)
     }
     // The control episode (no severance) must restore directly.
     const auto &control = rep.results.back();
-    EXPECT_FALSE(control.severed);
+    EXPECT_FALSE(control.fired);
     EXPECT_TRUE(control.restored) << control.detail;
     EXPECT_EQ(control.rung, porter::LadderRung::Direct);
 }
@@ -74,11 +75,11 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
 {
     // The sweep is vacuous if no armed site ever fires or the ladder
     // never gets pushed off the direct rung.
-    const PartitionEnumReport rep = porter::enumeratePartitionSites(
-        enumBaseConfig(CrashMechanism::CxlFork));
+    const SiteReport rep = porter::enumerateSites(
+        enumBaseConfig(CrashMechanism::CxlFork), SiteFault::Sever);
     uint64_t fired = 0, offDirect = 0;
     for (const auto &r : rep.results) {
-        fired += r.severed;
+        fired += r.fired;
         offDirect += r.restored && r.rung != porter::LadderRung::Direct;
     }
     EXPECT_GT(fired, 0u) << "no armed severance ever fired";
@@ -86,14 +87,26 @@ TEST(PartitionEnum, SeveranceActuallyLandsSomewhere)
         << "every severed restore still rode the direct rung";
 }
 
+TEST(PartitionEnum, EveryArmedSiteFires)
+{
+    // The dry-run count must agree with the armed replays: every site
+    // below it severs the link, and the control past it does not.
+    const SiteReport rep = porter::enumerateSites(
+        enumBaseConfig(CrashMechanism::Criu), SiteFault::Sever);
+    ASSERT_EQ(rep.results.size(), rep.sites + 1);
+    for (uint64_t k = 0; k < rep.sites; ++k)
+        EXPECT_TRUE(rep.results[k].fired) << "site " << k;
+    EXPECT_FALSE(rep.results.back().fired);
+}
+
 TEST(PartitionEnum, SweepIsDeterministic)
 {
-    const PartitionConfig cfg = enumBaseConfig(CrashMechanism::Criu);
-    const PartitionEnumReport a = porter::enumeratePartitionSites(cfg);
-    const PartitionEnumReport b = porter::enumeratePartitionSites(cfg);
+    const SoakConfig cfg = enumBaseConfig(CrashMechanism::Criu);
+    const SiteReport a = porter::enumerateSites(cfg, SiteFault::Sever);
+    const SiteReport b = porter::enumerateSites(cfg, SiteFault::Sever);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].severed, b.results[i].severed) << i;
+        EXPECT_EQ(a.results[i].fired, b.results[i].fired) << i;
         EXPECT_EQ(a.results[i].restored, b.results[i].restored) << i;
         EXPECT_EQ(int(a.results[i].rung), int(b.results[i].rung)) << i;
         EXPECT_EQ(a.results[i].imageAvailable,

@@ -1,6 +1,6 @@
 /**
  * @file
- * The partition soak (porter/partition_harness.hh) as a ctest: all
+ * The partition soak (porter/soak.hh, link layer) as a ctest: all
  * four mechanisms under sustained link chaos with quarantines and
  * split-brain replays, the fence-off negative control that must
  * demonstrably double-publish, and report-level determinism. Labeled
@@ -13,20 +13,19 @@
 #include <algorithm>
 #include <cctype>
 
-#include "porter/partition_harness.hh"
+#include "porter/soak.hh"
 
 namespace cxlfork {
 namespace {
 
 using porter::CrashMechanism;
-using porter::PartitionConfig;
-using porter::PartitionReport;
+using porter::SoakConfig;
+using porter::SoakReport;
 
-PartitionConfig
+SoakConfig
 soakConfig(CrashMechanism mech, uint64_t rounds = 200)
 {
-    PartitionConfig cfg;
-    cfg.mechanism = mech;
+    SoakConfig cfg = SoakConfig::partition(mech);
     cfg.rounds = rounds;
     return cfg;
 }
@@ -38,15 +37,15 @@ class PartitionSoakAllMechanisms
 
 TEST_P(PartitionSoakAllMechanisms, HoldsEveryInvariant)
 {
-    const PartitionReport rep =
-        porter::runPartitionSoak(soakConfig(GetParam()));
+    const SoakReport rep =
+        porter::runSoak(soakConfig(GetParam()));
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.invocations, 200u) << "soak too short to mean much";
     EXPECT_GT(rep.checkpointsPublished, 0u);
     EXPECT_EQ(rep.framesLeaked, 0u);
     EXPECT_EQ(rep.doublePublishes, 0u)
         << "with the fence on, no zombie publish may ever win";
-    EXPECT_GE(rep.survivalFraction(), 0.9)
+    EXPECT_GE(rep.restoreSurvival(), 0.9)
         << "the ladder should keep nearly every restore byte-identical";
 }
 
@@ -67,8 +66,8 @@ TEST(PartitionSoak, LadderAndFenceActuallyExercised)
     // A soak where no link ever fails proves nothing: the weather must
     // push restores off the direct rung, the heartbeat must quarantine
     // cut-off nodes, and the replayed zombie must be fenced.
-    const PartitionReport rep =
-        porter::runPartitionSoak(soakConfig(CrashMechanism::CxlFork));
+    const SoakReport rep =
+        porter::runSoak(soakConfig(CrashMechanism::CxlFork));
     EXPECT_GT(rep.severedTxns, 0u);
     EXPECT_GT(rep.degradedTxns, 0u);
     EXPECT_GT(rep.retriedRestores, 0u);
@@ -89,9 +88,9 @@ TEST(PartitionSoak, NegativeControlDoublePublishes)
     // once, flipping the tuple the survivors published — the split
     // brain the fence exists to prevent. Every other invariant still
     // holds (the harness knows the flip was "allowed").
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
     cfg.epochFencing = false;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    const SoakReport rep = porter::runSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_GT(rep.doublePublishes, 0u)
         << "without the fence the zombie never won: the fence is not "
@@ -100,49 +99,66 @@ TEST(PartitionSoak, NegativeControlDoublePublishes)
     EXPECT_EQ(rep.framesLeaked, 0u);
 }
 
+TEST(PartitionSoak, PoisonFailuresAreViolations)
+{
+    // The link layer owns partitions and transients, nothing else.
+    // Without the chaos layer nothing poisons a frame, so a restore or
+    // verify read that fails on poison is a defect and must stay a
+    // violation.
+    const SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    ASSERT_TRUE(cfg.linkLayer());
+    ASSERT_FALSE(cfg.chaosLayer());
+    EXPECT_TRUE(cfg.tolerates(rfork::RestoreError::FabricPartition));
+    EXPECT_TRUE(cfg.tolerates(rfork::RestoreError::TransientFault));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::PoisonedFrame));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::StaleEpoch));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::CorruptImage));
+    EXPECT_FALSE(cfg.tolerates(rfork::RestoreError::Other));
+}
+
 TEST(PartitionSoak, ReplicasFeedTheRerouteRung)
 {
     // Same weather, with and without RAS replicas: the reroute rung
     // only exists with replicas, and it must buy survival.
-    PartitionConfig with = soakConfig(CrashMechanism::CxlFork, 120);
+    SoakConfig with = soakConfig(CrashMechanism::CxlFork, 120);
     with.scheduledSeverProb = 0.0;
     with.midPublishSeverProb = 0.0;
     with.splitBrainEvery = 0;
     with.severRate = 0.05;
     with.degradeRate = 0.05;
-    PartitionConfig without = with;
+    SoakConfig without = with;
     without.replicas = 0;
-    const PartitionReport rWith = porter::runPartitionSoak(with);
-    const PartitionReport rWithout = porter::runPartitionSoak(without);
+    const SoakReport rWith = porter::runSoak(with);
+    const SoakReport rWithout = porter::runSoak(without);
     EXPECT_TRUE(rWith.pass) << rWith.firstViolation;
     EXPECT_TRUE(rWithout.pass) << rWithout.firstViolation;
     EXPECT_GT(rWith.reroutes, 0u);
     EXPECT_EQ(rWithout.reroutes, 0u);
-    EXPECT_GT(rWith.survivalFraction(), rWithout.survivalFraction());
+    EXPECT_GT(rWith.restoreSurvival(), rWithout.restoreSurvival());
 }
 
 TEST(PartitionSoak, CalmWeatherIsAllDirect)
 {
-    PartitionConfig cfg = soakConfig(CrashMechanism::Criu, 60);
+    SoakConfig cfg = soakConfig(CrashMechanism::Criu, 60);
     cfg.severRate = 0.0;
     cfg.degradeRate = 0.0;
     cfg.scheduledSeverProb = 0.0;
     cfg.midPublishSeverProb = 0.0;
     cfg.splitBrainEvery = 0;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    const SoakReport rep = porter::runSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_EQ(rep.invocations, rep.directRestores);
     EXPECT_EQ(rep.failovers, 0u);
     EXPECT_EQ(rep.coldStarts, 0u);
     EXPECT_EQ(rep.quarantines, 0u);
-    EXPECT_DOUBLE_EQ(rep.survivalFraction(), 1.0);
+    EXPECT_DOUBLE_EQ(rep.restoreSurvival(), 1.0);
 }
 
 TEST(PartitionSoak, ReportIsDeterministic)
 {
-    const PartitionConfig cfg = soakConfig(CrashMechanism::Mitosis, 120);
-    const PartitionReport a = porter::runPartitionSoak(cfg);
-    const PartitionReport b = porter::runPartitionSoak(cfg);
+    const SoakConfig cfg = soakConfig(CrashMechanism::Mitosis, 120);
+    const SoakReport a = porter::runSoak(cfg);
+    const SoakReport b = porter::runSoak(cfg);
     EXPECT_EQ(a.invocations, b.invocations);
     EXPECT_EQ(a.checkpointsPublished, b.checkpointsPublished);
     EXPECT_EQ(a.restoresOk, b.restoresOk);
@@ -171,22 +187,22 @@ TEST(PartitionSoak, QueueArmedSoakHoldsEveryInvariant)
     // correctness (leaks, fencing, byte-identical survivors) must be
     // exactly as solid as the queue-off soak, and the contention must
     // actually have been exercised, not silently disabled.
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork);
     cfg.contention.enabled = true;
-    const PartitionReport rep = porter::runPartitionSoak(cfg);
+    const SoakReport rep = porter::runSoak(cfg);
     EXPECT_TRUE(rep.pass) << rep.firstViolation;
     EXPECT_EQ(rep.framesLeaked, 0u);
     EXPECT_EQ(rep.doublePublishes, 0u);
-    EXPECT_GE(rep.survivalFraction(), 0.9);
+    EXPECT_GE(rep.restoreSurvival(), 0.9);
     EXPECT_GT(rep.severedTxns, 0u) << "the weather must still blow";
 }
 
 TEST(PartitionSoak, SeedChangesTheWeather)
 {
-    PartitionConfig cfg = soakConfig(CrashMechanism::CxlFork, 120);
-    const PartitionReport a = porter::runPartitionSoak(cfg);
+    SoakConfig cfg = soakConfig(CrashMechanism::CxlFork, 120);
+    const SoakReport a = porter::runSoak(cfg);
     cfg.seed ^= 0x5eedULL;
-    const PartitionReport b = porter::runPartitionSoak(cfg);
+    const SoakReport b = porter::runSoak(cfg);
     EXPECT_TRUE(a.pass && b.pass);
     EXPECT_TRUE(a.severedTxns != b.severedTxns ||
                 a.quarantines != b.quarantines ||

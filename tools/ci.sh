@@ -17,7 +17,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== Running crash-point enumeration sweep (ctest -L crash)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L crash
-"$BUILD_DIR/tools/crash_sweep"
+"$BUILD_DIR/tools/soak" --mode crash-sites
+"$BUILD_DIR/tools/soak" --mode crash-sites --mechanism cxlfork --negative
 
 echo "== Running content-dedup suite (ctest -L dedup)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L dedup
@@ -33,13 +34,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L speculative
 
 echo "== Running chaos soak suite (ctest -L chaos)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L chaos
-"$BUILD_DIR/tools/chaos_soak"
-"$BUILD_DIR/tools/chaos_soak" --mechanism cxlfork --negative
+"$BUILD_DIR/tools/soak" --mode chaos
+"$BUILD_DIR/tools/soak" --mode chaos --mechanism cxlfork --negative
 
 echo "== Running partition tolerance suite (ctest -L partition)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L partition
-"$BUILD_DIR/tools/partition_soak"
-"$BUILD_DIR/tools/partition_soak" --mechanism cxlfork --negative
+"$BUILD_DIR/tools/soak" --mode sever-sites
+"$BUILD_DIR/tools/soak" --mode partition
+"$BUILD_DIR/tools/soak" --mode partition --mechanism cxlfork --negative
 
 echo "== Running fabric-contention suite (ctest -L contention)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L contention
