@@ -8,8 +8,11 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hh"
+#include "cxl/page_store.hh"
 #include "proto/messages.hh"
 #include "rfork/cxlfork.hh"
+#include "sim/crc32.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -278,6 +281,82 @@ BM_WireEncodeDecode(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) * 10000 * 16);
 }
 BENCHMARK(BM_WireEncodeDecode);
+
+// --- Checkpoint-side integrity and dedup bookkeeping (DESIGN.md Sec. 8).
+
+/** One 64-bit content token folded into a CRC-32 (image sealing). */
+void
+BM_Crc32Update64(benchmark::State &state)
+{
+    sim::Crc32 crc;
+    uint64_t token = uint64_t(state.max_iterations);
+    for (auto _ : state) {
+        crc.update64(token);
+        benchmark::DoNotOptimize(crc);
+        token += 0x9e37'79b9'7f4a'7c15ull;
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_Crc32Update64);
+
+/** Distinct nonzero page contents for the PageStore benches. */
+uint64_t
+pageToken(uint64_t i)
+{
+    return (i + 1) * 0x9e37'79b9'7f4a'7c15ull;
+}
+
+/**
+ * Dedup intern: Arg(0) interns fresh pages (index miss, allocate, file
+ * the frame), Arg(1) re-interns one of 64 Ki live pages (index hit,
+ * byte compare, one more reference).
+ */
+void
+BM_PageStoreIntern(benchmark::State &state)
+{
+    mem::Machine machine{mem::MachineConfig{}};
+    cxl::PageStoreConfig cfg;
+    cfg.dedup = true;
+    cxl::PageStore store(machine, cfg);
+    sim::SimClock clock;
+    const bool hit = state.range(0) != 0;
+    constexpr uint64_t kLive = 64 * 1024;
+    if (hit) {
+        for (uint64_t i = 0; i < kLive; ++i)
+            store.intern(pageToken(i), mem::FrameUse::Data, clock);
+    }
+    uint64_t i = 0;
+    for (auto _ : state) {
+        const uint64_t content = pageToken(hit ? (i * 7919) % kLive : i);
+        benchmark::DoNotOptimize(
+            store.intern(content, mem::FrameUse::Data, clock));
+        ++i;
+    }
+}
+BENCHMARK(BM_PageStoreIntern)->Arg(0)->Iterations(1 << 20);
+BENCHMARK(BM_PageStoreIntern)->Arg(1);
+
+/** Dropping the last reference of an indexed page (free + un-index). */
+void
+BM_PageStoreRelease(benchmark::State &state)
+{
+    mem::Machine machine{mem::MachineConfig{}};
+    cxl::PageStoreConfig cfg;
+    cfg.dedup = true;
+    cxl::PageStore store(machine, cfg);
+    sim::SimClock clock;
+    std::vector<mem::PhysAddr> pages;
+    for (uint64_t i = 0; i < uint64_t(state.max_iterations); ++i) {
+        pages.push_back(
+            store.intern(pageToken(i), mem::FrameUse::Data, clock).addr);
+    }
+    // Release in a scattered order, as reclaiming interleaved images does.
+    sim::Rng(7).shuffle(pages);
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(store.release(pages[i++]));
+}
+BENCHMARK(BM_PageStoreRelease)->Iterations(1 << 20);
 
 /**
  * Console reporting plus one ns/op line per benchmark into

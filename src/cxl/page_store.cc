@@ -1,6 +1,7 @@
 #include "page_store.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "ras.hh"
 #include "sim/fault_injector.hh"
@@ -23,7 +24,8 @@ mix64(uint64_t x)
 } // namespace
 
 PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
-    : machine_(machine), cfg_(cfg)
+    : machine_(machine), cfg_(cfg), cxlBase_(machine.cxl().base().raw),
+      cxlFrames_(machine.cxl().capacityBytes() / mem::kPageSize)
 {
     if (cfg_.hashBits == 0 || cfg_.hashBits > 64)
         sim::fatal("PageStore: hashBits must be in [1, 64]");
@@ -74,17 +76,114 @@ PageStore::hashContent(uint64_t content) const
     return cfg_.hashBits >= 64 ? h : h & ((uint64_t(1) << cfg_.hashBits) - 1);
 }
 
-PageStore::CodecMeta
-PageStore::classify(uint64_t content) const
+const PageStore::Slot *
+PageStore::slotOf(mem::PhysAddr addr) const
+{
+    if (addr.raw < cxlBase_)
+        return nullptr;
+    const uint64_t idx = frameIndex(addr);
+    return idx < slots_.size() ? &slots_[idx] : nullptr;
+}
+
+PageStore::Slot *
+PageStore::slotOf(mem::PhysAddr addr)
+{
+    return const_cast<Slot *>(std::as_const(*this).slotOf(addr));
+}
+
+PageStore::Slot &
+PageStore::slotFor(mem::PhysAddr addr)
+{
+    const uint64_t idx = frameIndex(addr);
+    CXLF_ASSERT(addr.raw >= cxlBase_ && idx < cxlFrames_);
+    if (idx >= slots_.size()) {
+        // Track the allocator's high-water mark: double, but never past
+        // the device, so the array stays proportional to frames in use.
+        const uint64_t n =
+            std::min(cxlFrames_, std::max(idx + 1, 2 * slots_.size()));
+        slots_.reserve(n);
+        slots_.resize(n);
+    }
+    return slots_[idx];
+}
+
+void
+PageStore::indexInsert(uint64_t hash, uint64_t frame)
+{
+    if (2 * (indexed_ + 1) > index_.size())
+        growIndex();
+    const uint64_t mask = index_.size() - 1;
+    uint64_t i = home(hash, mask);
+    while (index_[i].frame != kNoFrame)
+        i = (i + 1) & mask;
+    index_[i] = {hash, frame};
+    ++indexed_;
+}
+
+void
+PageStore::growIndex()
+{
+    std::vector<IndexEntry> old =
+        std::exchange(index_, std::vector<IndexEntry>(
+                                  std::max<size_t>(1024, 2 * index_.size())));
+    if (old.empty())
+        return;
+    // Re-insert in probe order: begin the scan at an empty slot so no
+    // probe run is split at the table's end. Each run is then replayed
+    // front to back, and same-hash frames keep their insertion order.
+    const uint64_t oldMask = old.size() - 1;
+    const uint64_t mask = index_.size() - 1;
+    uint64_t start = 0;
+    while (old[start].frame != kNoFrame)
+        ++start;
+    for (uint64_t k = 0; k < old.size(); ++k) {
+        const IndexEntry &e = old[(start + k) & oldMask];
+        if (e.frame == kNoFrame)
+            continue;
+        uint64_t i = home(e.hash, mask);
+        while (index_[i].frame != kNoFrame)
+            i = (i + 1) & mask;
+        index_[i] = e;
+    }
+}
+
+void
+PageStore::indexErase(uint64_t hash, uint64_t frame)
+{
+    const uint64_t mask = index_.size() - 1;
+    uint64_t hole = home(hash, mask);
+    while (index_[hole].frame != frame) {
+        CXLF_ASSERT(index_[hole].frame != kNoFrame);
+        hole = (hole + 1) & mask;
+    }
+    // Backward shift: pull each later entry of the run into the hole
+    // when the hole lies between its home and its slot. Same-hash
+    // entries share a home, so whenever a later one could fill the
+    // hole, the earlier one (met first) could too: their insertion
+    // order survives deletion.
+    for (uint64_t j = (hole + 1) & mask; index_[j].frame != kNoFrame;
+         j = (j + 1) & mask) {
+        const uint64_t from = home(index_[j].hash, mask);
+        if (((j - from) & mask) >= ((j - hole) & mask)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = IndexEntry{};
+    --indexed_;
+}
+
+void
+PageStore::classify(uint64_t content, Slot &slot) const
 {
     const sim::CostParams &costs = machine_.costs();
-    CodecMeta meta;
+    slot.parent = mem::PhysAddr{0};
     if (content == 0) {
         // Zero-page elision: only a manifest note is stored.
-        meta.cls = CodecClass::Zero;
-        meta.storedBytes = 0;
-        meta.pendingDecompress = true;
-        return meta;
+        slot.cls = CodecClass::Zero;
+        slot.storedBytes = 0;
+        slot.pendingDecompress = true;
+        return;
     }
     // The simulator carries 64-bit content tokens, not page bytes, so
     // compressibility is modeled: a deterministic draw on the content
@@ -96,22 +195,20 @@ PageStore::classify(uint64_t content) const
     const double u =
         double(mix64(content ^ kCodecSalt) >> 11) * 0x1.0p-53;
     if (u < cfg_.deltaFrac && deltaAnchor_.raw != 0) {
-        meta.cls = CodecClass::Delta;
-        meta.storedBytes =
-            uint64_t(double(mem::kPageSize) * costs.deltaRatio);
-        meta.parent = deltaAnchor_;
-        meta.pendingDecompress = true;
+        slot.cls = CodecClass::Delta;
+        slot.storedBytes =
+            uint32_t(double(mem::kPageSize) * costs.deltaRatio);
+        slot.parent = deltaAnchor_;
+        slot.pendingDecompress = true;
     } else if (u < cfg_.deltaFrac + cfg_.rleFrac) {
-        meta.cls = CodecClass::Rle;
-        meta.storedBytes =
-            uint64_t(double(mem::kPageSize) * costs.rleRatio);
-        meta.pendingDecompress = true;
+        slot.cls = CodecClass::Rle;
+        slot.storedBytes = uint32_t(double(mem::kPageSize) * costs.rleRatio);
+        slot.pendingDecompress = true;
     } else {
-        meta.cls = CodecClass::Raw;
-        meta.storedBytes = mem::kPageSize;
-        meta.pendingDecompress = false; // stored uncompressed
+        slot.cls = CodecClass::Raw;
+        slot.storedBytes = mem::kPageSize;
+        slot.pendingDecompress = false; // stored uncompressed
     }
-    return meta;
 }
 
 uint64_t
@@ -121,15 +218,16 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
     // The compressor scans the full page whatever class it lands in —
     // finding a page incompressible costs the same pass.
     clock.advance(machine_.costs().compressCost(mem::kPageSize));
-    CodecMeta meta = classify(content);
-    switch (meta.cls) {
+    Slot &slot = slotFor(addr);
+    classify(content, slot);
+    switch (slot.cls) {
       case CodecClass::Zero:
         compressZeroCounter_->inc();
         break;
       case CodecClass::Delta:
         // The delta references its parent page: the parent must stay
         // live (undecayed) for as long as this page needs it.
-        machine_.cxl().incRef(meta.parent);
+        machine_.cxl().incRef(slot.parent);
         compressDeltaCounter_->inc();
         break;
       case CodecClass::Rle:
@@ -139,36 +237,36 @@ PageStore::recordCompressed(mem::PhysAddr addr, uint64_t content,
         compressRawCounter_->inc();
         break;
     }
-    if (meta.cls == CodecClass::Raw || meta.cls == CodecClass::Rle)
+    if (slot.cls == CodecClass::Raw || slot.cls == CodecClass::Rle)
         deltaAnchor_ = addr;
     compressPagesCounter_->inc();
-    compressStoredCounter_->inc(meta.storedBytes);
-    compressSavedCounter_->inc(mem::kPageSize - meta.storedBytes);
-    const uint64_t stored = meta.storedBytes;
-    codecMeta_[addr.raw] = meta;
-    return stored;
+    compressStoredCounter_->inc(slot.storedBytes);
+    compressSavedCounter_->inc(mem::kPageSize - slot.storedBytes);
+    slot.coded = true;
+    ++coded_;
+    return slot.storedBytes;
 }
 
 CodecClass
 PageStore::codecClassOf(mem::PhysAddr addr) const
 {
-    auto it = codecMeta_.find(addr.raw);
-    return it == codecMeta_.end() ? CodecClass::Raw : it->second.cls;
+    const Slot *s = slotOf(addr);
+    return s && s->coded ? s->cls : CodecClass::Raw;
 }
 
 void
 PageStore::onMaterialize(mem::PhysAddr addr, sim::SimClock &clock)
 {
-    auto it = codecMeta_.find(addr.raw);
-    if (it == codecMeta_.end() || !it->second.pendingDecompress)
+    Slot *s = slotOf(addr);
+    if (!s || !s->coded || !s->pendingDecompress)
         return;
     // Charge the one-time decompress before any recursive parent read:
     // the parent fetch re-enters this hook, and clearing the flag first
     // keeps a (hypothetical) cycle from recursing forever.
-    it->second.pendingDecompress = false;
+    s->pendingDecompress = false;
     const sim::CostParams &costs = machine_.costs();
-    sim::SimTime cost = costs.decompressCost(it->second.storedBytes);
-    const mem::PhysAddr parent = it->second.parent;
+    sim::SimTime cost = costs.decompressCost(s->storedBytes);
+    const mem::PhysAddr parent = s->parent;
     const sim::SimTime before = clock.now();
     clock.advance(cost);
     if (parent.raw != 0) {
@@ -187,11 +285,12 @@ PageStore::frameFreed(mem::PhysAddr addr)
 {
     if (deltaAnchor_.raw == addr.raw)
         deltaAnchor_ = mem::PhysAddr{0};
-    auto it = codecMeta_.find(addr.raw);
-    if (it == codecMeta_.end())
+    Slot *s = slotOf(addr);
+    if (!s || !s->coded)
         return;
-    const mem::PhysAddr parent = it->second.parent;
-    codecMeta_.erase(it);
+    const mem::PhysAddr parent = s->parent;
+    s->coded = false;
+    --coded_;
     // Dropping the delta's parent reference may free the parent in
     // turn, re-entering this hook; the allocator's decRef bookkeeping
     // is complete before it notifies, so the recursion is safe (and at
@@ -231,27 +330,32 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
 
     mem::FrameAllocator &cxl = machine_.cxl();
     const uint64_t h = hashContent(content);
-    auto bucket = index_.find(h);
-    if (bucket != index_.end()) {
-        // The hash only nominates candidates; the byte compare (one
-        // mapped read of the candidate frame) decides. A same-hash,
-        // different-bytes candidate is a recorded collision, never a
-        // false share.
-        bool comparedAny = false;
-        mem::PhysAddr match{0};
-        for (mem::PhysAddr cand : bucket->second) {
-            comparedAny = true;
+    // The hash only nominates candidates; the byte compare (one mapped
+    // read of the candidate frame) decides. A same-hash, different-bytes
+    // candidate is a recorded collision, never a false share. The probe
+    // run holds same-hash frames in insertion order, so the first one
+    // met is the oldest live candidate: the collision-check target.
+    mem::PhysAddr first{0};
+    mem::PhysAddr match{0};
+    if (!index_.empty()) {
+        const uint64_t mask = index_.size() - 1;
+        for (uint64_t i = home(h, mask); index_[i].frame != kNoFrame;
+             i = (i + 1) & mask) {
+            if (index_[i].hash != h)
+                continue;
+            const mem::PhysAddr cand = frameAddr(index_[i].frame);
+            if (first.raw == 0)
+                first = cand;
             if (cxl.frame(cand).content == content) {
                 match = cand;
                 break;
             }
         }
-        if (comparedAny) {
-            machine_.cxlTransaction(clock, "pagestore collision check",
-                                    node, bucket->second.front(),
-                                    /*isRead=*/true);
-            clock.advance(machine_.costs().cxlRead(mem::kPageSize));
-        }
+    }
+    if (first.raw != 0) {
+        machine_.cxlTransaction(clock, "pagestore collision check", node,
+                                first, /*isRead=*/true);
+        clock.advance(machine_.costs().cxlRead(mem::kPageSize));
         if (match.raw != 0) {
             // Crash site before the only mutation (the extra ref): a
             // crash here changes no refcount and can leak nothing.
@@ -298,8 +402,10 @@ PageStore::intern(uint64_t content, mem::FrameUse use, sim::SimClock &clock,
             throw;
         }
     }
-    index_[h].push_back(addr);
-    pages_[addr.raw] = h;
+    Slot &slot = slotFor(addr);
+    slot.hash = h;
+    slot.indexed = true;
+    indexInsert(h, frameIndex(addr));
     uniqueCounter_->inc();
     uint64_t stored = mem::kPageSize;
     if (cfg_.compress)
@@ -316,17 +422,13 @@ PageStore::ref(mem::PhysAddr addr)
 bool
 PageStore::release(mem::PhysAddr addr)
 {
-    auto it = pages_.find(addr.raw);
     const bool freed = machine_.cxl().decRef(addr);
-    if (freed && it != pages_.end()) {
-        auto bucket = index_.find(it->second);
-        CXLF_ASSERT(bucket != index_.end());
-        auto &frames = bucket->second;
-        frames.erase(std::remove(frames.begin(), frames.end(), addr),
-                     frames.end());
-        if (frames.empty())
-            index_.erase(bucket);
-        pages_.erase(it);
+    // Look the slot up after decRef: freeing may re-enter release()
+    // for a delta parent, which leaves this frame's slot untouched.
+    Slot *s = freed ? slotOf(addr) : nullptr;
+    if (s && s->indexed) {
+        indexErase(s->hash, frameIndex(addr));
+        s->indexed = false;
     }
     if (freed && ras_)
         ras_->notePrimaryFreed(addr);
@@ -337,64 +439,95 @@ PageStoreAudit
 PageStore::audit() const
 {
     PageStoreAudit out;
-    out.uniquePages = pages_.size();
+    out.uniquePages = indexed_;
     auto fail = [&](std::string why) {
         if (out.consistent) {
             out.consistent = false;
             out.detail = "pagestore: " + why;
         }
     };
+    const uint64_t mask = index_.empty() ? 0 : index_.size() - 1;
     uint64_t indexed = 0;
-    for (const auto &[h, frames] : index_) {
-        if (frames.empty())
-            fail(sim::format("empty bucket %#llx retained",
-                             (unsigned long long)h));
-        for (mem::PhysAddr f : frames) {
-            ++indexed;
-            auto it = pages_.find(f.raw);
-            if (it == pages_.end()) {
-                fail(sim::format("frame %#llx indexed but not owned",
-                                 (unsigned long long)f.raw));
-                continue;
-            }
-            if (it->second != h) {
-                fail(sim::format("frame %#llx filed under hash %#llx, "
-                                 "owns %#llx",
+    std::vector<bool> seen(slots_.size());
+    for (uint64_t i = 0; i < index_.size(); ++i) {
+        const IndexEntry &e = index_[i];
+        if (e.frame == kNoFrame)
+            continue;
+        ++indexed;
+        const uint64_t h = e.hash;
+        const mem::PhysAddr f = frameAddr(e.frame);
+        // Lookups stop at the first empty slot: an entry past a gap in
+        // its probe run is lost to every future intern.
+        for (uint64_t j = home(h, mask); j != i; j = (j + 1) & mask) {
+            if (index_[j].frame == kNoFrame) {
+                fail(sim::format("frame %#llx unreachable from its hash "
+                                 "%#llx",
                                  (unsigned long long)f.raw,
-                                 (unsigned long long)h,
-                                 (unsigned long long)it->second));
+                                 (unsigned long long)h));
+                break;
             }
-            // Every indexed frame must still be live, hash to its
-            // bucket, and carry at least one reference.
-            const mem::Frame &frame = machine_.cxl().frame(f);
-            if (hashContent(frame.content) != h) {
-                fail(sim::format("frame %#llx content no longer hashes "
-                                 "to its bucket",
-                                 (unsigned long long)f.raw));
-            }
-            if (frame.refcount == 0)
-                fail(sim::format("indexed frame %#llx has refcount 0",
-                                 (unsigned long long)f.raw));
         }
+        if (e.frame >= slots_.size() || !slots_[e.frame].indexed) {
+            fail(sim::format("frame %#llx indexed but not owned",
+                             (unsigned long long)f.raw));
+            continue;
+        }
+        if (seen[e.frame])
+            fail(sim::format("frame %#llx indexed twice",
+                             (unsigned long long)f.raw));
+        seen[e.frame] = true;
+        if (slots_[e.frame].hash != h) {
+            fail(sim::format("frame %#llx filed under hash %#llx, "
+                             "owns %#llx",
+                             (unsigned long long)f.raw,
+                             (unsigned long long)h,
+                             (unsigned long long)slots_[e.frame].hash));
+        }
+        // Every indexed frame must still be live, hash to its entry,
+        // and carry at least one reference.
+        const mem::Frame &frame = machine_.cxl().frame(f);
+        if (hashContent(frame.content) != h) {
+            fail(sim::format("frame %#llx content no longer hashes "
+                             "to its entry",
+                             (unsigned long long)f.raw));
+        }
+        if (frame.refcount == 0)
+            fail(sim::format("indexed frame %#llx has refcount 0",
+                             (unsigned long long)f.raw));
     }
-    if (indexed != pages_.size()) {
-        fail(sim::format("index holds %llu frames, ownership map %zu",
-                         (unsigned long long)indexed, pages_.size()));
-    }
-    out.codecPages = codecMeta_.size();
-    for (const auto &[raw, meta] : codecMeta_) {
-        const mem::Frame &frame = machine_.cxl().frame(mem::PhysAddr{raw});
-        if (frame.refcount == 0) {
+    uint64_t owned = 0;
+    uint64_t coded = 0;
+    for (uint64_t idx = 0; idx < slots_.size(); ++idx) {
+        const Slot &slot = slots_[idx];
+        owned += slot.indexed;
+        if (!slot.coded)
+            continue;
+        ++coded;
+        const mem::PhysAddr addr = frameAddr(idx);
+        if (machine_.cxl().frame(addr).refcount == 0) {
             fail(sim::format("codec-tracked frame %#llx has refcount 0",
-                             (unsigned long long)raw));
+                             (unsigned long long)addr.raw));
         }
-        if (meta.parent.raw != 0 &&
-            machine_.cxl().frame(meta.parent).refcount == 0) {
+        if (slot.parent.raw != 0 &&
+            machine_.cxl().frame(slot.parent).refcount == 0) {
             fail(sim::format("delta frame %#llx references freed parent "
                              "%#llx",
-                             (unsigned long long)raw,
-                             (unsigned long long)meta.parent.raw));
+                             (unsigned long long)addr.raw,
+                             (unsigned long long)slot.parent.raw));
         }
+    }
+    if (indexed != owned || indexed != indexed_) {
+        fail(sim::format("index holds %llu frames, %llu slots owned, "
+                         "census %llu",
+                         (unsigned long long)indexed,
+                         (unsigned long long)owned,
+                         (unsigned long long)indexed_));
+    }
+    out.codecPages = coded_;
+    if (coded != coded_) {
+        fail(sim::format("%llu slots coded, census %llu",
+                         (unsigned long long)coded,
+                         (unsigned long long)coded_));
     }
     return out;
 }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/machine.hh"
@@ -170,20 +169,27 @@ class PageStore : public mem::PageCodec
     /** True if the store's content index owns this frame. */
     bool owns(mem::PhysAddr addr) const
     {
-        return pages_.find(addr.raw) != pages_.end();
+        const Slot *s = slotOf(addr);
+        return s && s->indexed;
     }
 
     /** Live content-indexed pages (the deduplicated census). */
-    uint64_t uniquePages() const { return pages_.size(); }
+    uint64_t uniquePages() const { return indexed_; }
 
     /** Cross-check the content index against the frame allocator. */
     PageStoreAudit audit() const;
+
+    /**
+     * The content hash intern() files a page under: 64-bit, truncated
+     * to hashBits. Same-hash pages are the byte-compare candidates.
+     */
+    uint64_t hashContent(uint64_t content) const;
 
     /** Codec class the pipeline stored this frame under (tests). */
     CodecClass codecClassOf(mem::PhysAddr addr) const;
 
     /** Live codec-tracked pages (drains to zero with the refcounts). */
-    uint64_t codecPages() const { return codecMeta_.size(); }
+    uint64_t codecPages() const { return coded_; }
 
     // mem::PageCodec — the machine calls these on checked CXL reads
     // and on frame frees; both are no-ops for untracked frames.
@@ -191,31 +197,77 @@ class PageStore : public mem::PageCodec
     void frameFreed(mem::PhysAddr addr) override;
 
   private:
-    /** Per-frame codec bookkeeping, erased when the frame frees. */
-    struct CodecMeta
+    /**
+     * Bookkeeping of one CXL frame, at index (addr - base) / kPageSize.
+     * CXL frames are dense indices, so per-frame state lives in a flat
+     * array; a slot is meaningful only while its frame is live and the
+     * store indexed (`indexed`) or coded (`coded`) it.
+     */
+    struct Slot
     {
+        uint64_t hash = 0;              ///< Content hash, while indexed.
+        mem::PhysAddr parent{0};        ///< Delta parent (one ref held).
+        uint32_t storedBytes = 0;       ///< Modeled compressed size.
         CodecClass cls = CodecClass::Raw;
-        uint64_t storedBytes = 0;
-        mem::PhysAddr parent{0};   ///< Delta parent (one ref held).
-        bool pendingDecompress = false;
+        bool pendingDecompress = false; ///< First checked read decodes.
+        bool indexed = false;           ///< Filed in the content index.
+        bool coded = false;             ///< Codec fields are live.
     };
+    static_assert(sizeof(Slot) <= 24, "keep the per-frame slot small");
 
-    uint64_t hashContent(uint64_t content) const;
-    CodecMeta classify(uint64_t content) const;
+    /**
+     * One content-index entry. The index is open-addressed with linear
+     * probing from home() and backward-shift deletion, so entries of
+     * one hash sit in one probe run in insertion order.
+     */
+    struct IndexEntry
+    {
+        uint64_t hash = 0;
+        uint64_t frame = kNoFrame; ///< Frame index; kNoFrame if empty.
+    };
+    static constexpr uint64_t kNoFrame = ~uint64_t(0);
+
+    /**
+     * Home slot of a hash in an index of mask + 1 entries. Runs grow
+     * toward higher slots; homing at the complement starts the runs of
+     * narrowed test hashes at the table's end, so every collision test
+     * also exercises runs that wrap around it.
+     */
+    static uint64_t home(uint64_t hash, uint64_t mask) { return ~hash & mask; }
+
+    void classify(uint64_t content, Slot &slot) const;
     uint64_t recordCompressed(mem::PhysAddr addr, uint64_t content,
                               sim::SimClock &clock);
+
+    uint64_t frameIndex(mem::PhysAddr addr) const
+    {
+        return (addr.raw - cxlBase_) / mem::kPageSize;
+    }
+    mem::PhysAddr frameAddr(uint64_t idx) const
+    {
+        return mem::PhysAddr{cxlBase_ + idx * mem::kPageSize};
+    }
+    /** The frame's slot, or nullptr if the store never grew that far. */
+    const Slot *slotOf(mem::PhysAddr addr) const;
+    Slot *slotOf(mem::PhysAddr addr);
+    /** The frame's slot, growing the slot array to reach it. */
+    Slot &slotFor(mem::PhysAddr addr);
+
+    void indexInsert(uint64_t hash, uint64_t frame);
+    void indexErase(uint64_t hash, uint64_t frame);
+    void growIndex();
 
     mem::Machine &machine_;
     PageStoreConfig cfg_;
     RasManager *ras_ = nullptr;
 
-    /** Content hash -> live frames whose contents hash there. */
-    std::unordered_map<uint64_t, std::vector<mem::PhysAddr>> index_;
-    /** Live store-owned frame -> its content hash (for un-indexing). */
-    std::unordered_map<uint64_t, uint64_t> pages_;
-
-    /** Live compressed frame -> codec bookkeeping. */
-    std::unordered_map<uint64_t, CodecMeta> codecMeta_;
+    uint64_t cxlBase_;
+    uint64_t cxlFrames_; ///< Slot array ceiling: the device's frames.
+    std::vector<Slot> slots_;
+    /** Content index: power-of-two capacity, at most half full. */
+    std::vector<IndexEntry> index_;
+    uint64_t indexed_ = 0; ///< Live content-indexed frames.
+    uint64_t coded_ = 0;   ///< Live codec-tracked frames.
 
     /**
      * The most recent standalone (raw/RLE) stored page: the parent the

@@ -14,6 +14,7 @@
 #include "sim/crc32.hh"
 #include "sim/error.hh"
 #include "sim/fault_injector.hh"
+#include "sim/rng.hh"
 #include "test_util.hh"
 
 namespace cxlfork {
@@ -182,6 +183,64 @@ TEST(Crc32, CatchesEverySingleBitFlip)
         data[bit / 8] ^= uint8_t(1u << (bit % 8));
     }
     EXPECT_EQ(sim::crc32(data.data(), data.size()), sealed);
+}
+
+/** Bitwise CRC-32 straight from the polynomial: the reference. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, PinsTheIeeePolynomialAndEveryFeedPath)
+{
+    // The standard check value of CRC-32/ISO-HDLC.
+    EXPECT_EQ(sim::crc32("123456789", 9), 0xCBF43926u);
+
+    // update64 folds the token's 8 little-endian bytes.
+    sim::Rng rng(0xc4c3'2001);
+    for (int i = 0; i < 200; ++i) {
+        const uint64_t v = rng.raw();
+        uint8_t bytes[8];
+        for (int b = 0; b < 8; ++b)
+            bytes[b] = uint8_t(v >> (8 * b));
+        sim::Crc32 word, byteWise;
+        word.update(bytes, 3); // start unaligned to the 8-byte step
+        byteWise.update(bytes, 3);
+        word.update64(v);
+        for (uint8_t b : bytes)
+            byteWise.update(&b, 1);
+        EXPECT_EQ(word.value(), byteWise.value()) << std::hex << v;
+    }
+
+    // Splitting a buffer anywhere leaves the digest unchanged.
+    std::vector<uint8_t> buf(67);
+    for (uint8_t &b : buf)
+        b = uint8_t(rng.raw());
+    const uint32_t oneShot = sim::crc32(buf.data(), buf.size());
+    EXPECT_EQ(oneShot, bitwiseCrc32(buf.data(), buf.size()));
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        sim::Crc32 c;
+        c.update(buf.data(), split);
+        c.update(buf.data() + split, buf.size() - split);
+        EXPECT_EQ(c.value(), oneShot) << "split at " << split;
+    }
+
+    // Random lengths cover every tail length and the empty buffer.
+    for (int i = 0; i < 2000; ++i) {
+        buf.resize(rng.index(301));
+        for (uint8_t &b : buf)
+            b = uint8_t(rng.raw());
+        ASSERT_EQ(sim::crc32(buf.data(), buf.size()),
+                  bitwiseCrc32(buf.data(), buf.size()))
+            << "length " << buf.size();
+    }
 }
 
 // --- Machine-level transients and poison.

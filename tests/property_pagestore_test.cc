@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -235,6 +237,196 @@ TEST(PageStoreCollision, ByteCompareRejectsHashAliases)
     for (const InternResult &r : results)
         store.release(r.addr);
     EXPECT_EQ(store.uniquePages(), 0u);
+}
+
+/** Records the target of every pagestore collision-check transaction. */
+class CollisionCheckRecorder : public mem::FabricQueue
+{
+  public:
+    void
+    onTransaction(mem::NodeId, mem::PhysAddr addr, bool, uint64_t,
+                  sim::SimClock &, const char *site) override
+    {
+        if (std::strcmp(site, "pagestore collision check") == 0)
+            targets.push_back(addr.raw);
+    }
+
+    std::vector<uint64_t> targets;
+};
+
+class PageStoreFlatIndex : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+/**
+ * Drive the flat index through growth, wrap-around and backward-shift
+ * deletion, and check every intern against a shadow of the per-hash
+ * candidate lists in insertion order: the matched frame and the
+ * collision-check target (the oldest live same-hash frame) must be
+ * exactly what a bucket-of-vectors index would pick.
+ */
+TEST_P(PageStoreFlatIndex, CandidateOrderSurvivesGrowthWrapAndDeletion)
+{
+    const uint32_t bits = GetParam();
+    CollisionCheckRecorder recorder; // outlives the machine using it
+    mem::Machine machine(test::smallConfig());
+    machine.setFabricQueue(&recorder);
+    PageStoreConfig cfg;
+    cfg.dedup = true;
+    cfg.hashBits = bits;
+    PageStore store(machine, cfg);
+    sim::SimClock clock;
+    sim::Rng rng(0xf1a7'0000 + bits);
+
+    /** hash -> live frames filed under it, oldest first. */
+    std::map<uint64_t, std::vector<uint64_t>> shadow;
+    std::map<uint64_t, uint64_t> frameContent;
+    std::vector<Ref> held;
+    uint64_t nextContent = 0x5eed'0000'0000ull;
+
+    auto internOne = [&](uint64_t content) {
+        const uint64_t h = store.hashContent(content);
+        std::vector<uint64_t> &cands = shadow[h];
+        uint64_t expectMatch = 0;
+        for (uint64_t f : cands) {
+            if (frameContent.at(f) == content) {
+                expectMatch = f;
+                break;
+            }
+        }
+        recorder.targets.clear();
+        const InternResult r =
+            store.intern(content, mem::FrameUse::Data, clock);
+        if (cands.empty()) {
+            EXPECT_TRUE(recorder.targets.empty());
+        } else {
+            ASSERT_EQ(recorder.targets.size(), 1u);
+            EXPECT_EQ(recorder.targets[0], cands.front())
+                << "collision check hit a frame other than the oldest "
+                   "same-hash candidate";
+        }
+        ASSERT_EQ(r.shared, expectMatch != 0);
+        if (r.shared) {
+            EXPECT_EQ(r.addr.raw, expectMatch);
+        } else {
+            cands.push_back(r.addr.raw);
+            frameContent[r.addr.raw] = content;
+        }
+        held.push_back({r.addr, content});
+    };
+    auto releaseOne = [&](size_t i) {
+        const Ref ref = held[i];
+        held[i] = held.back();
+        held.pop_back();
+        if (!store.release(ref.addr))
+            return;
+        std::vector<uint64_t> &cands =
+            shadow.at(store.hashContent(ref.content));
+        cands.erase(std::find(cands.begin(), cands.end(), ref.addr.raw));
+        frameContent.erase(ref.addr.raw);
+    };
+
+    // The index starts at 1,024 entries and doubles past half full, so
+    // 1,500 live pages force two growths (to 2,048, then 4,096). At
+    // 1 and 3 bits every run starts at the table's end and wraps.
+    for (int round = 0; round < 3; ++round) {
+        while (store.uniquePages() < 1500) {
+            // Mostly fresh pages; some re-interns of live contents.
+            if (!held.empty() && rng.uniform() < 0.2)
+                internOne(held[rng.index(held.size())].content);
+            else
+                internOne(nextContent++);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        PageStoreAudit a = store.audit();
+        ASSERT_TRUE(a.consistent) << a.detail;
+        // Release about two thirds, scattered, so deletions shift
+        // entries across the wrap and out of the middle of runs.
+        while (store.uniquePages() > 500)
+            releaseOne(rng.index(held.size()));
+        a = store.audit();
+        ASSERT_TRUE(a.consistent) << a.detail;
+        // Re-intern survivors: each must hit its own frame.
+        for (int i = 0; i < 200; ++i) {
+            internOne(held[rng.index(held.size())].content);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+    while (!held.empty())
+        releaseOne(held.size() - 1);
+    EXPECT_EQ(store.uniquePages(), 0u);
+    const PageStoreAudit a = store.audit();
+    EXPECT_TRUE(a.consistent) << a.detail;
+}
+
+INSTANTIATE_TEST_SUITE_P(HashWidths, PageStoreFlatIndex,
+                         ::testing::Values(1u, 3u, 64u));
+
+/**
+ * Frames the store never indexed keep the plain-allocator behavior:
+ * owns() is false, codecClassOf() is Raw, and release() is a bare
+ * decRef, whether the frame's index lies inside the slot array or past
+ * its highest slot.
+ */
+TEST(PageStoreFlatIndex, UnindexedFramesFallThroughToTheAllocator)
+{
+    for (bool compress : {false, true}) {
+        mem::Machine machine(test::smallConfig());
+        PageStoreConfig cfg;
+        cfg.dedup = true;
+        cfg.compress = compress;
+        PageStore store(machine, cfg);
+        sim::SimClock clock;
+        mem::FrameAllocator &cxl = machine.cxl();
+        const uint64_t baseUsed = cxl.usedFrames();
+
+        // A raw frame below the store's first page, one store page,
+        // then raw frames at indices the slot array never reached.
+        const mem::PhysAddr below = cxl.alloc(mem::FrameUse::Metadata, 7);
+        const InternResult page =
+            store.intern(0xabcdef, mem::FrameUse::Data, clock);
+        std::vector<mem::PhysAddr> above;
+        for (int i = 0; i < 64; ++i)
+            above.push_back(cxl.alloc(mem::FrameUse::Metadata, 100 + i));
+        const mem::PhysAddr lastFrame{cxl.base().raw + cxl.capacityBytes() -
+                                      mem::kPageSize};
+
+        for (mem::PhysAddr a :
+             {below, above.front(), above.back(), lastFrame}) {
+            EXPECT_FALSE(store.owns(a));
+            EXPECT_EQ(store.codecClassOf(a), CodecClass::Raw);
+        }
+        EXPECT_TRUE(store.owns(page.addr));
+        EXPECT_EQ(store.uniquePages(), 1u);
+        EXPECT_EQ(store.codecPages(), compress ? 1u : 0u);
+
+        // release() of an unindexed frame: a plain decRef.
+        cxl.incRef(below);
+        EXPECT_FALSE(store.release(below));
+        EXPECT_TRUE(store.release(below));
+        for (mem::PhysAddr a : above)
+            EXPECT_TRUE(store.release(a));
+        EXPECT_EQ(store.uniquePages(), 1u);
+        PageStoreAudit audit = store.audit();
+        EXPECT_TRUE(audit.consistent) << audit.detail;
+
+        // A raw frame reusing a dead store frame is not owned either.
+        EXPECT_TRUE(store.release(page.addr));
+        EXPECT_EQ(store.uniquePages(), 0u);
+        EXPECT_EQ(store.codecPages(), 0u);
+        const mem::PhysAddr reused = cxl.alloc(mem::FrameUse::Metadata, 9);
+        EXPECT_EQ(reused.raw, page.addr.raw);
+        EXPECT_FALSE(store.owns(reused));
+        EXPECT_EQ(store.codecClassOf(reused), CodecClass::Raw);
+        EXPECT_TRUE(store.release(reused));
+
+        EXPECT_EQ(cxl.usedFrames(), baseUsed);
+        audit = store.audit();
+        EXPECT_TRUE(audit.consistent) << audit.detail;
+        EXPECT_TRUE(cxl.auditLive().consistent);
+    }
 }
 
 } // namespace
