@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <utility>
 
@@ -21,8 +23,8 @@ benchClusterConfig(sim::CostParams costs)
 {
     // The golden-regression perturbation hook: a changed CXL latency
     // must move the per-phase metrics, which the golden diff catches.
-    if (const char *ns = std::getenv("CXLFORK_CXL_LATENCY_NS"))
-        costs.cxlLatency = SimTime::ns(std::atof(ns));
+    if (const auto ns = envNumber("CXLFORK_CXL_LATENCY_NS", 0.0, 1e6))
+        costs.cxlLatency = SimTime::ns(*ns);
     porter::ClusterConfig cfg;
     cfg.machine.numNodes = 2;
     cfg.machine.dramPerNodeBytes = mem::gib(4);
@@ -32,12 +34,13 @@ benchClusterConfig(sim::CostParams costs)
     // RAS opt-in: replication is off by default so every bench stays
     // bit-identical to the pre-RAS tree; setting a replica count turns
     // the whole layer on (write-verify, replication, repair ladder).
-    if (const char *replicas = std::getenv("CXLFORK_RAS_REPLICAS")) {
-        cfg.ras.replicas = uint32_t(std::atoi(replicas));
-        cfg.ras.enabled = cfg.ras.replicas > 0;
+    if (const auto k = envNumber<uint32_t>("CXLFORK_RAS_REPLICAS", 0, 16)) {
+        cfg.ras.replicas = *k;
+        cfg.ras.enabled = *k > 0;
     }
-    if (const char *threshold = std::getenv("CXLFORK_RAS_THRESHOLD"))
-        cfg.ras.replicaThreshold = uint64_t(std::atoll(threshold));
+    if (const auto n =
+            envNumber<uint64_t>("CXLFORK_RAS_THRESHOLD", 1, 1'000'000'000))
+        cfg.ras.replicaThreshold = *n;
     // Coherence opt-in, same contract as RAS: unset or "off" means no
     // directory is built and every bench output stays bit-identical to
     // the pre-coherence tree.
@@ -52,8 +55,8 @@ benchClusterConfig(sim::CostParams costs)
     }
     // Codec opt-in, same contract again: unset (or "0") stores every
     // checkpoint page raw and the exports stay bit-identical.
-    if (const char *compress = std::getenv("CXLFORK_COMPRESS"))
-        cfg.pageStore.compress = std::atoi(compress) != 0;
+    if (const auto on = envNumber("CXLFORK_COMPRESS", 0, 1))
+        cfg.pageStore.compress = *on != 0;
     // Partition opt-in, same contract: unset (or 0) builds no
     // link-health model, no fabric transaction consults it, and every
     // bench output stays bit-identical to the pre-partition tree.
@@ -63,31 +66,26 @@ benchClusterConfig(sim::CostParams costs)
     // abort. Severance sweeps live in bench_ext_partition and
     // `tools/soak --mode partition`, which arm it programmatically
     // and own the recovery protocol.
-    if (const char *rate = std::getenv("CXLFORK_PARTITION_RATE")) {
-        const double r = std::atof(rate);
-        cfg.machine.faults.linkDegradeRate = r;
-        cfg.link.enabled = r > 0.0;
+    if (const auto r = envNumber("CXLFORK_PARTITION_RATE", 0.0, 1.0)) {
+        cfg.machine.faults.linkDegradeRate = *r;
+        cfg.link.enabled = *r > 0.0;
     }
-    if (const char *factor = std::getenv("CXLFORK_DEGRADE_FACTOR"))
-        cfg.link.degradeFactor = std::atof(factor);
-    if (const char *k = std::getenv("CXLFORK_HEARTBEAT_K"))
-        cfg.heartbeatK = uint32_t(std::atoi(k));
+    if (const auto f = envNumber("CXLFORK_DEGRADE_FACTOR", 1.0, 1000.0))
+        cfg.link.degradeFactor = *f;
+    if (const auto k = envNumber<uint32_t>("CXLFORK_HEARTBEAT_K", 0, 1000))
+        cfg.heartbeatK = *k;
     // Contention opt-in, same contract: unset (or 0) installs no queue
     // model, no transaction consults it, and every bench output stays
     // bit-identical to the pre-queue tree. The rate is the background
-    // utilization other tenants soak out of the device port, capped
+    // utilization other tenants soak out of the device port, bounded
     // below saturation (an M/D/1 queue at rho >= 1 never drains).
-    if (const char *rate = std::getenv("CXLFORK_CONTENTION_RATE")) {
-        const double u = std::atof(rate);
-        cfg.contention.backgroundUtilization = std::min(u, 0.95);
-        cfg.contention.enabled = u > 0.0;
+    if (const auto u = envNumber("CXLFORK_CONTENTION_RATE", 0.0, 0.95)) {
+        cfg.contention.backgroundUtilization = *u;
+        cfg.contention.enabled = *u > 0.0;
     }
-    if (const char *gbs = std::getenv("CXLFORK_SERVICE_GBS")) {
-        const double g = std::atof(gbs);
-        if (g > 0.0) {
-            cfg.contention.serviceReadGBs = g;
-            cfg.contention.serviceWriteGBs = 0.8 * g;
-        }
+    if (const auto g = envNumber("CXLFORK_SERVICE_GBS", 1e-3, 1e4)) {
+        cfg.contention.serviceReadGBs = *g;
+        cfg.contention.serviceWriteGBs = 0.8 * *g;
     }
     return cfg;
 }
@@ -102,13 +100,8 @@ prefetchEnabled()
 unsigned
 predictorWindow()
 {
-    if (const char *env = std::getenv("CXLFORK_PREDICTOR_WINDOW")) {
-        const long v = std::atol(env);
-        if (v >= 1)
-            return unsigned(v);
-        CXLF_WARN("ignoring CXLFORK_PREDICTOR_WINDOW=%s (want >= 1)", env);
-    }
-    return 3;
+    return envNumber<unsigned>("CXLFORK_PREDICTOR_WINDOW", 1, 1000)
+        .value_or(3);
 }
 
 rfork::PrefetchSchedule
@@ -282,6 +275,27 @@ namespace {
 const std::chrono::steady_clock::time_point g_processStart =
     std::chrono::steady_clock::now();
 
+/// A sim::FatalError escaping a bench is a configuration error (a
+/// malformed env knob, an unknown mode): report it and exit 1 rather
+/// than abort, so scripts and ctest see an ordinary failure.
+[[noreturn]] void
+exitOnFatal()
+{
+    try {
+        if (const std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const sim::FatalError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        std::_Exit(1);
+    } catch (...) {
+    }
+    std::abort();
+}
+
+const std::terminate_handler g_prevTerminate =
+    std::set_terminate(exitOnFatal);
+
 /**
  * When a runSweep worker is executing a point, this points at the
  * point's private registry and benchMetrics() resolves to it — the
@@ -308,13 +322,8 @@ benchMetrics()
 unsigned
 sweepJobs()
 {
-    if (const char *env = std::getenv("CXLFORK_JOBS")) {
-        const long v = std::atol(env);
-        if (v >= 1)
-            return unsigned(v);
-        CXLF_WARN("ignoring CXLFORK_JOBS=%s (want an integer >= 1)", env);
-    }
-    return sim::ThreadPool::hardwareConcurrency();
+    return envNumber<unsigned>("CXLFORK_JOBS", 1, 1024)
+        .value_or(sim::ThreadPool::hardwareConcurrency());
 }
 
 void

@@ -63,14 +63,23 @@
  *  - CXLFORK_SERVICE_GBS=<g>: device-port read-lane service rate in
  *    GB/s; the write lane gets 0.8x (defaults 10/8; only meaningful
  *    with the queue armed — this knob alone does not arm it).
+ *
+ * Every numeric knob is parsed by envNumber(): a value that is not
+ * wholly a number in the knob's range is fatal (the bench exits 1
+ * naming the knob), never silently read as 0 or wrapped to unsigned.
  */
 
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "faas/workloads.hh"
@@ -80,10 +89,40 @@
 #include "rfork/localfork.hh"
 #include "rfork/mitosis.hh"
 #include "rfork/prefetch.hh"
+#include "sim/log.hh"
 #include "sim/metrics.hh"
 #include "sim/table.hh"
 
 namespace cxlfork::bench {
+
+/**
+ * Numeric environment knob `name`: nullopt when unset, else its value,
+ * which must be the whole string parsed as a T in [lo, hi] — anything
+ * else (empty, trailing junk, out of range, a sign on an unsigned) is
+ * sim::fatal.
+ */
+template <typename T>
+std::optional<T>
+envNumber(const char *name, T lo, T hi)
+{
+    const char *raw = std::getenv(name);
+    if (!raw)
+        return std::nullopt;
+    const char *end = raw + std::strlen(raw);
+    T v{};
+    const auto [stop, ec] = std::from_chars(raw, end, v);
+    if (ec != std::errc() || stop != end || !(v >= lo && v <= hi)) {
+        if constexpr (std::is_integral_v<T>) {
+            sim::fatal("%s=%s: expected an integer in [%s, %s]", name, raw,
+                       std::to_string(lo).c_str(),
+                       std::to_string(hi).c_str());
+        } else {
+            sim::fatal("%s=%s: expected a number in [%g, %g]", name, raw,
+                       double(lo), double(hi));
+        }
+    }
+    return v;
+}
 
 /**
  * A cluster big enough for Bert (630 MB) under every mechanism.

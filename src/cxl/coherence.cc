@@ -57,7 +57,7 @@ LineInfo::sharerCount() const
 
 CoherenceDirectory::CoherenceDirectory(mem::Machine &machine,
                                        CoherenceConfig cfg)
-    : machine_(machine), cfg_(cfg)
+    : mem::FabricStage(Kind::Coherence), machine_(machine), cfg_(cfg)
 {
     if (cfg_.mode == CoherenceMode::Off)
         sim::fatal("CoherenceDirectory constructed with mode off; the "
@@ -76,13 +76,12 @@ CoherenceDirectory::CoherenceDirectory(mem::Machine &machine,
     lineResets_ = &m.counter("cxl.coherence.line_resets");
     crashCleanups_ = &m.counter("cxl.coherence.crash_cleanups");
     taxNs_ = &m.counter("cxl.coherence.tax_ns");
-    machine_.setCoherence(this);
+    machine_.install(*this);
 }
 
 CoherenceDirectory::~CoherenceDirectory()
 {
-    if (machine_.coherence() == this)
-        machine_.setCoherence(nullptr);
+    machine_.uninstall(*this);
 }
 
 uint64_t
@@ -114,9 +113,8 @@ CoherenceDirectory::queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
                                 uint64_t bytes, sim::SimClock &clock,
                                 const char *site)
 {
-    if (mem::FabricQueue *q = machine_.fabricQueue())
-        q->onTransaction(issuer, addr, /*isRead=*/false, bytes, clock,
-                         site);
+    machine_.portTransaction({issuer, addr, /*isRead=*/false, bytes, site},
+                             clock);
 }
 
 void
@@ -372,7 +370,7 @@ CoherenceDirectory::evict(mem::PhysAddr addr, mem::NodeId n,
 }
 
 void
-CoherenceDirectory::lineFreed(mem::PhysAddr addr)
+CoherenceDirectory::onFree(mem::PhysAddr addr)
 {
     if (cfg_.elideResetOnFree)
         return;

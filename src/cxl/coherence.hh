@@ -98,11 +98,11 @@ struct LineInfo
 
 /**
  * The MESI home-agent directory. Construction installs it as the
- * machine's CoherenceModel; destruction uninstalls it. One instance
+ * machine's Coherence stage; destruction uninstalls it. One instance
  * per machine — Cluster/CxlFabric own it, or tests construct it
  * directly on the stack over a bare Machine.
  */
-class CoherenceDirectory final : public mem::CoherenceModel
+class CoherenceDirectory final : public mem::FabricStage
 {
   public:
     CoherenceDirectory(mem::Machine &machine, CoherenceConfig cfg);
@@ -114,7 +114,7 @@ class CoherenceDirectory final : public mem::CoherenceModel
     CoherenceMode mode() const { return cfg_.mode; }
     const CoherenceConfig &config() const { return cfg_; }
 
-    // mem::CoherenceModel
+    // mem::FabricStage (Coherence)
     uint64_t read(mem::PhysAddr addr, mem::NodeId n, uint64_t deviceContent,
                   sim::SimClock &clock, const char *site) override;
     void write(mem::PhysAddr addr, mem::NodeId n, uint64_t newContent,
@@ -125,7 +125,7 @@ class CoherenceDirectory final : public mem::CoherenceModel
                     sim::SimClock &clock) override;
     void evict(mem::PhysAddr addr, mem::NodeId n,
                sim::SimClock &clock) override;
-    void lineFreed(mem::PhysAddr addr) override;
+    void onFree(mem::PhysAddr addr) override;
 
     /**
      * A node crashed: drop it from every line. Its unflushed HDM-D
@@ -199,12 +199,13 @@ class CoherenceDirectory final : public mem::CoherenceModel
     void charge(sim::SimClock &clock, sim::SimTime t);
 
     /**
-     * Directory control traffic is fabric traffic: when a queue model
+     * Directory control traffic is fabric traffic: when a queue stage
      * is installed, writebacks (a page of data) and back-invalidations
      * (a cacheline-sized message) occupy the device port like any
      * other transaction and queue behind whatever is in flight.
-     * Deliberately not routed through cxlTransaction — that would add
-     * crash sites and shift the deterministic site enumeration.
+     * Port-only (Machine::portTransaction), deliberately not a full
+     * cxlTransaction — that would add crash sites and shift the
+     * deterministic site enumeration.
      */
     void queueFabric(mem::PhysAddr addr, mem::NodeId issuer,
                      uint64_t bytes, sim::SimClock &clock,

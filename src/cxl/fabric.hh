@@ -31,18 +31,18 @@ class CxlFabric
         : machine_(machine), pageStore_(machine, pageStoreCfg),
           ras_(machine, pageStore_, rasCfg), sharedFs_(machine, pageStore_)
     {
-        // The RAS ctor installs the machine-level poison repairer when
+        // The RAS ctor installs the machine's Repair stage when
         // enabled; the store hook makes interned pages flow through it.
         pageStore_.attachRas(&ras_);
-        // The directory ctor installs the machine-level coherence
-        // model; with mode Off none is built and every access path
+        // The directory ctor installs the machine's Coherence stage;
+        // with mode Off none is built and every access path
         // stays bit-identical to the pre-coherence tree.
         if (coherenceCfg.mode != CoherenceMode::Off) {
             coherence_ = std::make_unique<CoherenceDirectory>(machine,
                                                               coherenceCfg);
         }
-        // The link-health ctor installs the machine-level link model
-        // when enabled; reroutes consult the RAS replica placement, so
+        // The link-health ctor installs the machine's Link stage when
+        // enabled; reroutes consult the RAS replica placement, so
         // keep the domain striping aligned with the RAS config.
         if (linkCfg.enabled) {
             if (rasCfg.enabled)

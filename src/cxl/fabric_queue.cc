@@ -9,7 +9,7 @@ namespace cxlfork::cxl {
 
 FabricQueueModel::FabricQueueModel(mem::Machine &machine,
                                    FabricQueueConfig cfg)
-    : machine_(machine), cfg_(cfg)
+    : mem::FabricStage(Kind::Queue), machine_(machine), cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
@@ -21,7 +21,7 @@ FabricQueueModel::FabricQueueModel(mem::Machine &machine,
         cfg_.backgroundUtilization >= 1.0)
         sim::fatal("fabric queue background utilization must be in [0, 1)");
     lanes_.assign(size_t(cfg_.domains) * 2, Lane{});
-    machine_.setFabricQueue(this);
+    machine_.install(*this);
     sim::MetricsRegistry &m = machine_.metrics();
     queuedCounter_ = &m.counter("cxl.contention.queued");
     delayNsCounter_ = &m.counter("cxl.contention.delay_ns");
@@ -31,8 +31,7 @@ FabricQueueModel::FabricQueueModel(mem::Machine &machine,
 
 FabricQueueModel::~FabricQueueModel()
 {
-    if (cfg_.enabled && machine_.fabricQueue() == this)
-        machine_.setFabricQueue(nullptr);
+    machine_.uninstall(*this);
 }
 
 uint32_t
@@ -102,12 +101,12 @@ FabricQueueModel::backgroundResidual(bool isRead, sim::SimTime now) const
 }
 
 void
-FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
-                                bool isRead, uint64_t bytes,
-                                sim::SimClock &clock, const char *site)
+FabricQueueModel::onTransaction(const mem::Transaction &txn,
+                                sim::SimClock &clock)
 {
-    (void)site;
-    Lane &lane = laneFor(domainOf(addr), isRead);
+    const mem::NodeId n = txn.node;
+    const bool isRead = txn.isRead;
+    Lane &lane = laneFor(domainOf(txn.target), isRead);
     const sim::SimTime now = clock.now();
     retire(lane, now);
 
@@ -155,7 +154,7 @@ FabricQueueModel::onTransaction(mem::NodeId n, mem::PhysAddr addr,
 
     // Commit the occupancy. start >= busyUntil keeps the lane horizon
     // monotone: simulated time never runs backward on a lane.
-    lane.inflight.push_back(Txn{start + serviceTime(isRead, bytes), n});
+    lane.inflight.push_back(Txn{start + serviceTime(isRead, txn.bytes), n});
     lane.busyUntil = lane.inflight.back().depart;
     ++enqueued_;
     const uint64_t inflightNow = enqueued_ - departed_;

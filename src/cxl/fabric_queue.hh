@@ -101,13 +101,13 @@ struct FabricQueueConfig
 };
 
 /**
- * The per-fabric queuing model (mem::FabricQueue impl).
+ * The per-fabric queuing model (the machine's Queue stage).
  *
  * All counters live in the machine registry and are registered only
  * when enabled, so a disabled model leaves the metrics export
  * byte-identical to a pre-contention tree.
  */
-class FabricQueueModel : public mem::FabricQueue
+class FabricQueueModel : public mem::FabricStage
 {
   public:
     FabricQueueModel(mem::Machine &machine, FabricQueueConfig cfg);
@@ -152,11 +152,10 @@ class FabricQueueModel : public mem::FabricQueue
      *  After drain(), inFlight() == 0 on every lane. */
     void drain();
 
-    // --- mem::FabricQueue.
+    // --- mem::FabricStage (Queue).
 
-    void onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                       uint64_t bytes, sim::SimClock &clock,
-                       const char *site) override;
+    void onTransaction(const mem::Transaction &txn,
+                       sim::SimClock &clock) override;
 
   private:
     struct Txn

@@ -20,7 +20,7 @@ linkStateName(LinkState s)
 
 LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
                        LinkHealthConfig cfg)
-    : machine_(machine), ras_(ras), cfg_(cfg)
+    : mem::FabricStage(Kind::Link), machine_(machine), ras_(ras), cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
@@ -28,7 +28,7 @@ LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
         sim::fatal("link health needs at least one fault domain");
     links_.assign(machine_.numNodes(),
                   std::vector<Link>(cfg_.domains));
-    machine_.setLinkModel(this);
+    machine_.install(*this);
     sim::MetricsRegistry &m = machine_.metrics();
     severedTxnsCounter_ = &m.counter("cxl.partition.severed_txns");
     degradedTxnsCounter_ = &m.counter("cxl.partition.degraded_txns");
@@ -40,8 +40,7 @@ LinkHealth::LinkHealth(mem::Machine &machine, RasManager &ras,
 
 LinkHealth::~LinkHealth()
 {
-    if (cfg_.enabled && machine_.linkModel() == this)
-        machine_.setLinkModel(nullptr);
+    machine_.uninstall(*this);
 }
 
 uint32_t
@@ -143,9 +142,10 @@ LinkHealth::anySevered(mem::NodeId n) const
 }
 
 void
-LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                          sim::SimClock &clock, const char *site)
+LinkHealth::onTransaction(const mem::Transaction &t, sim::SimClock &clock)
 {
+    const mem::NodeId n = t.node;
+    const mem::PhysAddr addr = t.target;
     if (n >= links_.size())
         return; // nodes beyond the machine (defensive; tests poke raw)
     const uint32_t dom = domainOf(addr);
@@ -193,7 +193,7 @@ LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
     // replica on a domain this node can still reach is served from the
     // replica — byte-identical content (RAS replicas carry the page
     // token), one extra fabric hop plus the replica page read charged.
-    if (isRead && !addr.isNull()) {
+    if (t.isRead && !addr.isNull()) {
         const mem::PhysAddr rep = ras_.findReplicaOn(
             addr, [&](uint32_t d) {
                 return d != dom &&
@@ -225,7 +225,7 @@ LinkHealth::onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
     origin.link = dom;
     throw sim::FabricPartitionError(
         sim::format("fabric link node%u->dom%u severed at %s", n, dom,
-                    site),
+                    t.site),
         origin);
 }
 

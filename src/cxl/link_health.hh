@@ -76,8 +76,8 @@ enum class LinkState : uint8_t {
 
 const char *linkStateName(LinkState s);
 
-/** The per-fabric link-health manager (mem::FabricLinkModel impl). */
-class LinkHealth : public mem::FabricLinkModel
+/** The per-fabric link-health manager (the machine's Link stage). */
+class LinkHealth : public mem::FabricStage
 {
   public:
     LinkHealth(mem::Machine &machine, RasManager &ras, LinkHealthConfig cfg);
@@ -133,10 +133,10 @@ class LinkHealth : public mem::FabricLinkModel
         return state(n, domain) != LinkState::Severed;
     }
 
-    // --- mem::FabricLinkModel.
+    // --- mem::FabricStage (Link).
 
-    void onTransaction(mem::NodeId n, mem::PhysAddr addr, bool isRead,
-                       sim::SimClock &clock, const char *site) override;
+    void onTransaction(const mem::Transaction &t,
+                       sim::SimClock &clock) override;
 
   private:
     struct Link

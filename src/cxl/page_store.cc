@@ -24,7 +24,8 @@ mix64(uint64_t x)
 } // namespace
 
 PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
-    : machine_(machine), cfg_(cfg), cxlBase_(machine.cxl().base().raw),
+    : mem::FabricStage(Kind::Codec), machine_(machine), cfg_(cfg),
+      cxlBase_(machine.cxl().base().raw),
       cxlFrames_(machine.cxl().capacityBytes() / mem::kPageSize)
 {
     if (cfg_.hashBits == 0 || cfg_.hashBits > 64)
@@ -38,7 +39,7 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
     // CXL reads and frame frees back through this store, so decompress
     // charging and metadata cleanup cannot be forgotten by a caller.
     if (cfg_.compress)
-        machine_.setPageCodec(this);
+        machine_.install(*this);
     sim::MetricsRegistry &m = machine_.metrics();
     hitsCounter_ = &m.counter("cxl.dedup.hits");
     uniqueCounter_ = &m.counter("cxl.dedup.unique");
@@ -57,10 +58,9 @@ PageStore::PageStore(mem::Machine &machine, PageStoreConfig cfg)
 
 PageStore::~PageStore()
 {
-    // The fabric installs the store as the machine's codec hook when
-    // the pipeline is armed; never leave a dangling hook behind.
-    if (machine_.pageCodec() == this)
-        machine_.setPageCodec(nullptr);
+    // The store installs itself as the machine's codec stage when the
+    // pipeline is armed; never leave a dangling stage behind.
+    machine_.uninstall(*this);
 }
 
 void
@@ -281,7 +281,7 @@ PageStore::onMaterialize(mem::PhysAddr addr, sim::SimClock &clock)
 }
 
 void
-PageStore::frameFreed(mem::PhysAddr addr)
+PageStore::onFree(mem::PhysAddr addr)
 {
     if (deltaAnchor_.raw == addr.raw)
         deltaAnchor_ = mem::PhysAddr{0};

@@ -112,12 +112,12 @@ struct PageStoreAudit
 
 /**
  * The content-addressed page pool of one CXL device. With the codec
- * pipeline armed the store doubles as the machine's PageCodec hook:
+ * pipeline armed the store doubles as the machine's Codec stage:
  * checked reads of compressed pages charge their one-time decompress
  * latency through it, and the allocator's free notification drops
  * codec metadata (and delta parent references) when a frame dies.
  */
-class PageStore : public mem::PageCodec
+class PageStore : public mem::FabricStage
 {
   public:
     explicit PageStore(mem::Machine &machine, PageStoreConfig cfg = {});
@@ -191,10 +191,11 @@ class PageStore : public mem::PageCodec
     /** Live codec-tracked pages (drains to zero with the refcounts). */
     uint64_t codecPages() const { return coded_; }
 
-    // mem::PageCodec — the machine calls these on checked CXL reads
-    // and on frame frees; both are no-ops for untracked frames.
+    // mem::FabricStage (Codec) — the machine calls these on checked
+    // CXL reads and on frame frees; both are no-ops for untracked
+    // frames.
     void onMaterialize(mem::PhysAddr addr, sim::SimClock &clock) override;
-    void frameFreed(mem::PhysAddr addr) override;
+    void onFree(mem::PhysAddr addr) override;
 
   private:
     /**

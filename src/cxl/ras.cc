@@ -11,7 +11,8 @@ namespace cxlfork::cxl {
 using mem::kPageSize;
 
 RasManager::RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg)
-    : machine_(machine), store_(store), cfg_(cfg)
+    : mem::FabricStage(Kind::Repair), machine_(machine), store_(store),
+      cfg_(cfg)
 {
     if (!cfg_.enabled)
         return;
@@ -26,7 +27,7 @@ RasManager::RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg)
     lostCounter_ = &m.counter("cxl.ras.pages_lost");
     scrubbedCounter_ = &m.counter("cxl.ras.pages_scrubbed");
     writeVerifyCounter_ = &m.counter("cxl.ras.write_verify_failures");
-    machine_.setPoisonRepairer(this);
+    machine_.install(*this);
 }
 
 RasManager::~RasManager()
@@ -38,8 +39,7 @@ RasManager::~RasManager()
         }
         rec.replicas.clear();
     }
-    if (machine_.poisonRepairer() == this)
-        machine_.setPoisonRepairer(nullptr);
+    machine_.uninstall(*this);
 }
 
 uint32_t
@@ -222,11 +222,9 @@ RasManager::markLost(mem::PhysAddr addr)
 
 bool
 RasManager::repairPoisoned(mem::PhysAddr addr, sim::SimClock &clock,
-                           const char *site)
+                           const char * /*site*/)
 {
-    (void)site;
-    if (!cfg_.enabled)
-        return false;
+    // Installed as the Repair stage only when enabled.
     if (!machine_.cxl().contains(addr))
         return false; // DRAM frames are outside the RAS domain
     auto it = tracked_.find(addr.raw);

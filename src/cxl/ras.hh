@@ -92,7 +92,7 @@ struct RasAudit
 };
 
 /** The per-fabric RAS manager. */
-class RasManager : public mem::PoisonRepairer
+class RasManager : public mem::FabricStage
 {
   public:
     RasManager(mem::Machine &machine, PageStore &store, RasConfig cfg);
@@ -128,7 +128,7 @@ class RasManager : public mem::PoisonRepairer
     /** A store-owned page was freed; drop its replicas and records. */
     void notePrimaryFreed(mem::PhysAddr addr);
 
-    // --- The repair ladder (mem::PoisonRepairer).
+    // --- The repair ladder (mem::FabricStage, Repair).
 
     /**
      * Rung 1-2: rebuild the poisoned primary from a healthy replica

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "machine.hh"
 #include "sim/error.hh"
 #include "sim/fault_injector.hh"
 #include "sim/log.hh"
@@ -109,10 +108,8 @@ FrameAllocator::decRef(PhysAddr addr)
     f.poisoned = false;
     --usedFrames_;
     freeList_.push_back(indexOf(addr));
-    if (coherence_)
-        coherence_->lineFreed(addr);
-    if (codec_)
-        codec_->frameFreed(addr);
+    if (onFree_)
+        onFree_(addr);
     return true;
 }
 

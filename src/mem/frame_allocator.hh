@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,6 @@ class FaultInjector;
 } // namespace cxlfork::sim
 
 namespace cxlfork::mem {
-
-class CoherenceModel;
-class PageCodec;
 
 /**
  * Result of FrameAllocator::auditLive(): bookkeeping cross-check used
@@ -70,19 +68,13 @@ class FrameAllocator
     void setFaultInjector(sim::FaultInjector *inj) { injector_ = inj; }
 
     /**
-     * Attach the fabric coherence model: frames freed by decRef then
-     * notify it via lineFreed so directory state never outlives the
-     * frame (the shootdown-before-reuse guarantee). Nullptr detaches.
-     * Installed by Machine::setCoherence on the CXL tier only.
+     * Attach the free notification: decRef calls `fn` with the address
+     * of every frame it frees, after its own bookkeeping is complete
+     * (so `fn` may drop further references). The machine arms it on the
+     * CXL tier to tell its fabric stages a device line died. Empty
+     * detaches.
      */
-    void setCoherence(CoherenceModel *c) { coherence_ = c; }
-
-    /**
-     * Attach the compressed-page codec: frames freed by decRef then
-     * notify it so codec metadata never outlives the frame. Nullptr
-     * detaches. Installed by Machine::setPageCodec on the CXL tier.
-     */
-    void setCodec(PageCodec *c) { codec_ = c; }
+    void setOnFree(std::function<void(PhysAddr)> fn) { onFree_ = fn; }
 
     /** Mark an allocated frame poisoned (tests / targeted injection). */
     void poison(PhysAddr addr) { frame(addr).poisoned = true; }
@@ -169,8 +161,7 @@ class FrameAllocator
     std::vector<Frame> frames_;
     std::vector<uint64_t> freeList_;
     sim::FaultInjector *injector_ = nullptr;
-    CoherenceModel *coherence_ = nullptr;
-    PageCodec *codec_ = nullptr;
+    std::function<void(PhysAddr)> onFree_;
 };
 
 } // namespace cxlfork::mem

@@ -23,6 +23,7 @@ Machine::Machine(const MachineConfig &cfg)
     cxl_ = std::make_unique<FrameAllocator>(
         "cxl-device", Tier::Cxl, PhysAddr{kCxlBase}, cfg.cxlCapacityBytes);
     cxl_->setFaultInjector(&injector_);
+    cxl_->setOnFree([this](PhysAddr addr) { onFrameFreed(addr); });
     // DRAM tiers see the injector too: not for poison draws (those are
     // CXL-only), but so every frame allocation is a crash site for the
     // deterministic enumeration harness.
@@ -45,21 +46,15 @@ Machine::setFaultConfig(const sim::FaultConfig &cfg)
 }
 
 void
-Machine::setCoherence(CoherenceModel *c)
+Machine::onFrameFreed(PhysAddr addr)
 {
-    coherence_ = c;
-    // The allocator tells the directory about frees directly so a
-    // reused CXL frame can never serve the previous tenant's tokens.
-    cxl_->setCoherence(c);
-}
-
-void
-Machine::setPageCodec(PageCodec *c)
-{
-    codec_ = c;
-    // The allocator tells the codec about frees directly so a reused
-    // CXL frame can never inherit a previous tenant's codec metadata.
-    cxl_->setCodec(c);
+    // Coherence before codec: the directory line resets first, and a
+    // codec release of a delta parent may free (and notify) again.
+    using K = FabricStage::Kind;
+    for (K k : {K::Coherence, K::Codec}) {
+        if (FabricStage *s = stage(k))
+            s->onFree(addr);
+    }
 }
 
 void
@@ -70,22 +65,20 @@ Machine::cxlTransaction(sim::SimClock &clock, const char *site,
     // Every fabric transaction is a crash site: the issuing node can
     // die before the transaction commits. Free when crash mode is off.
     injector_.crashPoint(site);
-    // Link health before the transient ladder: a severed path cannot
-    // carry the transaction at all, so transient retries over it would
-    // be fiction. Only node-attributed traffic crosses a node's link.
-    if (link_ && node != kInvalidNode)
-        link_->onTransaction(node, target, isRead, clock, site);
-    // Queue behind the link model: a transaction a severed link cannot
-    // carry never occupies the device port, and a degraded link's extra
-    // wire latency is charged before the port sees the arrival. Null
-    // targets are control-plane messages (cacheline-sized); addressed
-    // traffic moves a page.
-    if (queue_) {
-        queue_->onTransaction(node, target, isRead,
-                              target.isNull() ? costs_.cachelineSize
-                                              : costs_.pageSize,
-                              clock, site);
-    }
+    // Link before queue before the transient ladder: a severed path
+    // cannot carry the transaction at all (so it never occupies the
+    // device port, and transient retries over it would be fiction),
+    // and a degraded link's extra wire latency is charged before the
+    // port sees the arrival. Only node-attributed traffic crosses a
+    // node's link; every transaction occupies the port.
+    const Transaction t{node, target, isRead,
+                        target.isNull() ? costs_.cachelineSize
+                                        : costs_.pageSize,
+                        site};
+    FabricStage *link = stage(FabricStage::Kind::Link);
+    if (link && node != kInvalidNode)
+        link->onTransaction(t, clock);
+    portTransaction(t, clock);
     if (!injector_.armed())
         return;
     // The generic retry policy: bounded attempts with exponential
@@ -125,10 +118,11 @@ Machine::readFrameChecked(PhysAddr addr, sim::SimClock &clock,
 {
     const Frame &f = frame(addr);
     if (f.poisoned) {
-        // The repair ladder's first rung: a RAS manager, when
+        // The repair ladder's first rung: the repair stage, when
         // installed, gets one chance to rebuild the frame from a
         // replica before the loss escalates.
-        if (!repairer_ || !repairer_->repairPoisoned(addr, clock, site)) {
+        FabricStage *repair = stage(FabricStage::Kind::Repair);
+        if (!repair || !repair->repairPoisoned(addr, clock, site)) {
             throw sim::PoisonedFrameError(
                 sim::format("poisoned frame %#llx read at %s (data lost)",
                             (unsigned long long)addr.raw, site),
@@ -139,8 +133,8 @@ Machine::readFrameChecked(PhysAddr addr, sim::SimClock &clock,
     if (tierOf(addr) == Tier::Cxl) {
         cxlFrameReadCounter_->inc();
         cxlTransaction(clock, site, node, addr, /*isRead=*/true);
-        if (codec_)
-            codec_->onMaterialize(addr, clock);
+        if (FabricStage *codec = stage(FabricStage::Kind::Codec))
+            codec->onMaterialize(addr, clock);
     } else {
         dramFrameReadCounter_->inc();
     }

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -28,179 +29,109 @@
 namespace cxlfork::mem {
 
 /**
- * Restore-time poison repair hook. The machine's readFrameChecked is
- * the single chokepoint every mechanism's fault and prefetch paths
- * read checkpoint frames through; when a repairer is installed (by the
- * CXL fabric's RAS manager) a poisoned read gets one chance to be
- * repaired in place before the PoisonedFrameError escalates. Defined
- * here — not in cxl — because mem cannot depend on the cxl layer.
+ * One fabric transaction as the stages see it: the issuing node
+ * (kInvalidNode for device-internal traffic — RAS repairs, tests
+ * poking the machine directly), the device address it is headed for
+ * (null = control-plane traffic, which rides fault domain 0), its
+ * direction, its payload in bytes and the call site.
  */
-class PoisonRepairer
+struct Transaction
 {
-  public:
-    virtual ~PoisonRepairer() = default;
-
-    /**
-     * Try to repair the poisoned frame at `addr` in place, charging
-     * repair traffic to `clock`. @return true when the frame is clean
-     * and the read may proceed; false when the data is truly lost.
-     */
-    virtual bool repairPoisoned(PhysAddr addr, sim::SimClock &clock,
-                                const char *site) = 0;
+    NodeId node = kInvalidNode;
+    PhysAddr target;
+    bool isRead = false;
+    uint64_t bytes = 0;
+    const char *site = "";
 };
 
 /**
- * Fabric coherence hook. When installed (by the CXL fabric's
- * CoherenceDirectory) every CXL-tier frame access routed through
- * Machine::readFrame/writeFrame consults the directory, which tracks
- * per-line MESI state, charges coherence traffic to the accessing
- * node's clock, and — in software-coherency (HDM-D) mode — decides
- * which content token the reader actually observes. Defined here — not
- * in cxl — because mem cannot depend on the cxl layer (the same
- * pattern as PoisonRepairer above).
- *
- * Null by default: with no model installed the fabric is magically
- * coherent and every access behaves exactly as before this hook
- * existed (no extra time, no extra counters).
+ * One stage of the pipeline every CXL-tier access runs through
+ * (DESIGN.md, "Fabric stages"). The CXL layer's optional components —
+ * RAS repair, link health, the device-port queue, the page codec and
+ * the coherence directory — each install themselves in the machine's
+ * slot for their Kind and override the hooks of that kind. Every hook
+ * defaults to a no-op and an empty slot is skipped, so with nothing
+ * installed every path is bit-identical to a bare, always-reachable,
+ * infinitely fast, magically coherent fabric. Defined here — not in
+ * cxl — because mem cannot depend on the cxl layer.
  */
-class CoherenceModel
+class FabricStage
 {
   public:
-    virtual ~CoherenceModel() = default;
+    /**
+     * Slot index. The enum order is the dispatch order of a checked
+     * CXL read: repair the poisoned frame, cross the issuing node's
+     * link, queue at the device port, decompress, then consult the
+     * coherence directory for what the node observes.
+     */
+    enum class Kind : uint8_t { Repair, Link, Queue, Codec, Coherence };
+    static constexpr size_t kNumKinds = size_t(Kind::Coherence) + 1;
+
+    explicit FabricStage(Kind kind) : kind_(kind) {}
+    virtual ~FabricStage() = default;
+
+    Kind kind() const { return kind_; }
 
     /**
-     * Node `n` reads the line at `addr` whose device copy currently
-     * holds `deviceContent`. @return the content token the node
-     * observes — `deviceContent` under hardware coherence, possibly a
-     * stale token under software coherence.
+     * Repair: try to rebuild the poisoned frame at `addr` in place,
+     * charging repair traffic to `clock`. @return true when the frame
+     * is clean and the read may proceed; false when the data is lost.
      */
-    virtual uint64_t read(PhysAddr addr, NodeId n, uint64_t deviceContent,
-                          sim::SimClock &clock, const char *site) = 0;
+    virtual bool
+    repairPoisoned(PhysAddr, sim::SimClock &, const char *) { return false; }
 
     /**
-     * Node `n` stored `newContent` over a line that previously held
-     * `oldContent` (the device copy is already updated by the caller).
+     * Link and Queue: transaction `t` crosses this stage. The link
+     * stage sees only node-attributed traffic; it charges degraded
+     * latency and throws sim::FabricPartitionError when the path is
+     * severed and no replica can serve the read. The queue stage sees
+     * every transaction and charges port queueing delay; it never
+     * throws — a queued transaction is merely late, not lost.
      */
-    virtual void write(PhysAddr addr, NodeId n, uint64_t newContent,
-                       uint64_t oldContent, sim::SimClock &clock) = 0;
-
-    /** Node `n` flushes its dirty data for the line to the device. */
-    virtual void flush(PhysAddr addr, NodeId n, sim::SimClock &clock) = 0;
-
-    /** Node `n` invalidates its cached copy (next read refetches). */
-    virtual void invalidate(PhysAddr addr, NodeId n,
-                            sim::SimClock &clock) = 0;
+    virtual void onTransaction(const Transaction &, sim::SimClock &) {}
 
     /**
-     * Node `n` dropped its mapping of the line (unmap / CoW break /
-     * migration): leave the sharer set, discarding any unflushed data.
+     * Codec: a checked read is materializing the frame at `addr`;
+     * charge any pending decompress latency to `clock`.
      */
-    virtual void evict(PhysAddr addr, NodeId n, sim::SimClock &clock) = 0;
+    virtual void onMaterialize(PhysAddr, sim::SimClock &) {}
 
     /**
-     * The frame was freed (refcount hit zero). The directory resets
-     * the line so a reused frame can never serve a previous tenant's
-     * tokens — the shootdown-before-reuse guarantee.
+     * Coherence: node `n` reads the line at `addr` whose device copy
+     * holds `deviceContent`. @return the token the node observes —
+     * possibly stale under software coherence (HDM-D).
      */
-    virtual void lineFreed(PhysAddr addr) = 0;
-};
+    virtual uint64_t
+    read(PhysAddr, NodeId, uint64_t deviceContent, sim::SimClock &,
+         const char *)
+    {
+        return deviceContent;
+    }
 
-/**
- * Compressed-page codec hook. When installed (by the CXL fabric's
- * PageStore with its codec pipeline armed) every checked read of a
- * CXL-tier frame gives the codec a chance to charge the one-time
- * decompress cost of a compressed checkpoint page ("decompress on
- * first materialization"), and the CXL allocator notifies it when a
- * frame frees so codec metadata never outlives the frame. Defined here
- * — not in cxl — because mem cannot depend on the cxl layer (the same
- * pattern as PoisonRepairer above).
- *
- * Null by default: with no codec installed every read path is
- * bit-identical to the uncompressed tree.
- */
-class PageCodec
-{
-  public:
-    virtual ~PageCodec() = default;
+    /** Coherence: node `n` stored `newContent` over `oldContent` (the
+     *  device copy is already updated by the caller). */
+    virtual void write(PhysAddr, NodeId, uint64_t /*newContent*/,
+                       uint64_t /*oldContent*/, sim::SimClock &) {}
+
+    /** Coherence: node `n` flushes its dirty data for the line. */
+    virtual void flush(PhysAddr, NodeId, sim::SimClock &) {}
+
+    /** Coherence: node `n` invalidates its cached copy. */
+    virtual void invalidate(PhysAddr, NodeId, sim::SimClock &) {}
+
+    /** Coherence: node `n` dropped its mapping of the line (unmap, CoW
+     *  break, migration), discarding any unflushed data. */
+    virtual void evict(PhysAddr, NodeId, sim::SimClock &) {}
 
     /**
-     * A checked read is materializing the frame at `addr`; charge any
-     * pending decompress latency to `clock`.
+     * Codec and Coherence: the CXL frame at `addr` was freed (its
+     * refcount hit zero). Drop every record of it so a reused frame
+     * never inherits a previous tenant's tokens or codec metadata.
      */
-    virtual void onMaterialize(PhysAddr addr, sim::SimClock &clock) = 0;
+    virtual void onFree(PhysAddr) {}
 
-    /** The frame was freed; drop any codec metadata for it. */
-    virtual void frameFreed(PhysAddr addr) = 0;
-};
-
-/**
- * Fabric link-health hook. When installed (by the CXL fabric's
- * LinkHealth manager) every *node-attributed* fabric transaction routed
- * through Machine::cxlTransaction consults the model, which tracks the
- * per-(node, fault-domain) link state: a degraded link charges extra
- * latency to the issuing node's clock, and a severed link either
- * reroutes the access to a RAS replica on a reachable domain (reads
- * only — the page content is replicated byte-identically) or raises
- * sim::FabricPartitionError. Defined here — not in cxl — because mem
- * cannot depend on the cxl layer (the same pattern as PoisonRepairer).
- *
- * Null by default: with no model installed the fabric is always
- * reachable and every path is bit-identical to the pre-partition tree.
- * Transactions with no issuing node (kInvalidNode — device-internal RAS
- * traffic, tests poking the machine directly) bypass the model: only
- * node-attributed traffic crosses a node's link.
- */
-class FabricLinkModel
-{
-  public:
-    virtual ~FabricLinkModel() = default;
-
-    /**
-     * Node `n` issues one fabric transaction toward the device domain
-     * holding `addr` (a null addr is control-plane traffic — journal
-     * records, heartbeat probes — which rides domain 0). Charges
-     * degraded-link latency to `clock`; throws
-     * sim::FabricPartitionError when the path is severed and, for
-     * addressed reads, no replica on a reachable domain can serve it.
-     * `isRead` gates the replica-reroute rung: a write through a
-     * severed path can never be silently redirected.
-     */
-    virtual void onTransaction(NodeId n, PhysAddr addr, bool isRead,
-                               sim::SimClock &clock, const char *site) = 0;
-};
-
-/**
- * Fabric queuing hook. When installed (by the CXL fabric's
- * FabricQueueModel) every transaction routed through
- * Machine::cxlTransaction — and the coherence directory's own control
- * traffic — is enqueued on a simulated-time device-port queue, which
- * charges the issuing clock whatever queueing delay the port's current
- * occupancy implies. Defined here — not in cxl — because mem cannot
- * depend on the cxl layer (the same pattern as PoisonRepairer above).
- *
- * Unlike FabricLinkModel this hook also sees transactions with no
- * issuing node (kInvalidNode): device-internal traffic occupies the
- * shared port like anyone else's, it just rides a distinct issuer so
- * the cross-stream interference accounting stays honest.
- *
- * Null by default: with no queue installed the fabric port has
- * infinite service capacity and every path is bit-identical to the
- * pre-contention tree.
- */
-class FabricQueue
-{
-  public:
-    virtual ~FabricQueue() = default;
-
-    /**
-     * One fabric transaction of `bytes` payload from node `n` (or
-     * kInvalidNode for device-internal traffic) toward `addr` (null =
-     * control-plane, domain 0). Charges any queueing delay to `clock`;
-     * never throws — a queued transaction is merely late, not lost.
-     */
-    virtual void onTransaction(NodeId n, PhysAddr addr, bool isRead,
-                               uint64_t bytes, sim::SimClock &clock,
-                               const char *site) = 0;
+  private:
+    Kind kind_;
 };
 
 /** Machine construction parameters. */
@@ -264,57 +195,30 @@ class Machine
     void setFaultConfig(const sim::FaultConfig &cfg);
 
     /**
-     * Install (or clear, with nullptr) the poison repair hook that
-     * readFrameChecked consults before escalating a poisoned read.
-     * Null by default: without a repairer the poisoned path throws
-     * exactly as before the RAS layer existed.
+     * Install `s` in the slot of its kind, replacing any occupant.
+     * Components install themselves at construction when enabled.
      */
-    void setPoisonRepairer(PoisonRepairer *r) { repairer_ = r; }
-    PoisonRepairer *poisonRepairer() const { return repairer_; }
+    void install(FabricStage &s) { stages_[size_t(s.kind())] = &s; }
 
-    /**
-     * Install (or clear, with nullptr) the fabric coherence model that
-     * readFrame/writeFrame consult on CXL-tier accesses. Also arms the
-     * CXL allocator's free-notification hook so frame reuse resets
-     * directory lines. Null by default: the fabric stays magically
-     * coherent and every access path is bit-identical to the pre-
-     * coherence tree.
-     */
-    void setCoherence(CoherenceModel *c);
-    CoherenceModel *coherence() const { return coherence_; }
+    /** Empty `s`'s slot, unless a later install already replaced it. */
+    void
+    uninstall(const FabricStage &s)
+    {
+        FabricStage *&slot = stages_[size_t(s.kind())];
+        if (slot == &s)
+            slot = nullptr;
+    }
 
-    /**
-     * Install (or clear, with nullptr) the compressed-page codec that
-     * readFrameChecked consults on CXL-tier reads. Also arms the CXL
-     * allocator's free notification so codec metadata is dropped on
-     * frame reuse. Null by default: reads stay bit-identical to the
-     * uncompressed tree.
-     */
-    void setPageCodec(PageCodec *c);
-    PageCodec *pageCodec() const { return codec_; }
-
-    /**
-     * Install (or clear, with nullptr) the fabric link-health model
-     * that node-attributed cxlTransaction calls consult. Null by
-     * default: every link is permanently Up and each path is
-     * bit-identical to the pre-partition tree.
-     */
-    void setLinkModel(FabricLinkModel *m) { link_ = m; }
-    FabricLinkModel *linkModel() const { return link_; }
-
-    /**
-     * Install (or clear, with nullptr) the fabric queuing model that
-     * cxlTransaction consults after the link model (a severed path
-     * never reaches the device port) and before the transient retry
-     * ladder. Null by default: infinite service capacity, every path
-     * bit-identical to the pre-contention tree.
-     */
-    void setFabricQueue(FabricQueue *q) { queue_ = q; }
-    FabricQueue *fabricQueue() const { return queue_; }
+    /** The stage installed for `kind`, or nullptr. */
+    FabricStage *
+    stage(FabricStage::Kind kind) const
+    {
+        return stages_[size_t(kind)];
+    }
 
     /**
      * Node-attributed read of a frame's content token: the failure
-     * model of readFrameChecked plus, when a coherence model is
+     * model of readFrameChecked plus, when a coherence stage is
      * installed and the frame is on the CXL tier, the directory's view
      * of what node `n` observes (which may be stale under HDM-D).
      */
@@ -322,10 +226,9 @@ class Machine
     readFrame(PhysAddr addr, NodeId n, sim::SimClock &clock,
               const char *site)
     {
-        uint64_t content = readFrameChecked(addr, clock, site, n);
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            content = coherence_->read(addr, n, content, clock, site);
-        return content;
+        const uint64_t content = readFrameChecked(addr, clock, site, n);
+        FabricStage *c = coherenceFor(addr);
+        return c ? c->read(addr, n, content, clock, site) : content;
     }
 
     /**
@@ -336,16 +239,15 @@ class Machine
      * they must move nothing but simulated time and the
      * cxl.coherence.* counters, or the directory-on counter stream
      * diverges from the directory-off baseline the oracle compares
-     * against. Returns the device token when no model is installed.
+     * against. Returns the device token without a coherence stage.
      */
     uint64_t
     touchFrame(PhysAddr addr, NodeId n, sim::SimClock &clock,
                const char *site)
     {
-        uint64_t content = frame(addr).content;
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            content = coherence_->read(addr, n, content, clock, site);
-        return content;
+        const uint64_t content = frame(addr).content;
+        FabricStage *c = coherenceFor(addr);
+        return c ? c->read(addr, n, content, clock, site) : content;
     }
 
     /**
@@ -361,8 +263,8 @@ class Machine
         Frame &f = frame(addr);
         const uint64_t old = f.content;
         f.content = content;
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            coherence_->write(addr, n, content, old, clock);
+        if (FabricStage *c = coherenceFor(addr))
+            c->write(addr, n, content, old, clock);
     }
 
     /**
@@ -370,14 +272,14 @@ class Machine
      * paths' non-temporal store stream plus the trailing fence. The
      * stale value for an unpublished fresh frame is the zero token (a
      * frame starts life zeroed), so under HDM-D an elided publish is
-     * observable as reads of 0. No-op without a coherence model.
+     * observable as reads of 0. No-op without a coherence stage.
      */
     void
     publishFrame(PhysAddr addr, NodeId n, sim::SimClock &clock)
     {
-        if (coherence_ && tierOf(addr) == Tier::Cxl) {
-            coherence_->write(addr, n, frame(addr).content, 0, clock);
-            coherence_->flush(addr, n, clock);
+        if (FabricStage *c = coherenceFor(addr)) {
+            c->write(addr, n, frame(addr).content, 0, clock);
+            c->flush(addr, n, clock);
         }
     }
 
@@ -385,24 +287,24 @@ class Machine
     void
     flushFrame(PhysAddr addr, NodeId n, sim::SimClock &clock)
     {
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            coherence_->flush(addr, n, clock);
+        if (FabricStage *c = coherenceFor(addr))
+            c->flush(addr, n, clock);
     }
 
     /** Software invalidate of node `n`'s cached copy of a CXL line. */
     void
     invalidateFrame(PhysAddr addr, NodeId n, sim::SimClock &clock)
     {
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            coherence_->invalidate(addr, n, clock);
+        if (FabricStage *c = coherenceFor(addr))
+            c->invalidate(addr, n, clock);
     }
 
     /** Node `n` dropped its mapping of a CXL line (unmap/CoW/migrate). */
     void
     evictFrame(PhysAddr addr, NodeId n, sim::SimClock &clock)
     {
-        if (coherence_ && tierOf(addr) == Tier::Cxl)
-            coherence_->evict(addr, n, clock);
+        if (FabricStage *c = coherenceFor(addr))
+            c->evict(addr, n, clock);
     }
 
     /**
@@ -422,25 +324,41 @@ class Machine
     }
 
     /**
-     * Model one CXL transaction (a page copy or bulk store) under
-     * injection: transient errors are retried up to the configured
-     * budget with exponential backoff charged to `clock`. Throws
-     * sim::TransientFaultError once the budget is exhausted. A no-op
-     * when injection is disarmed.
+     * Model one CXL transaction (a page copy or bulk store): mint a
+     * crash site, run the link stage (node-attributed traffic only)
+     * and the queue stage, then the transient retry ladder — errors
+     * are retried up to the configured budget with exponential backoff
+     * charged to `clock`, and sim::TransientFaultError is thrown once
+     * the budget is exhausted.
      *
-     * `node` attributes the transaction to the issuing node so an
-     * installed FabricLinkModel can apply that node's link state
-     * (degraded latency, severed → sim::FabricPartitionError); the
-     * default kInvalidNode bypasses the link model (device-internal
-     * traffic never crosses a node's link). `target` names the device
-     * address the transaction is headed for — it selects the fault
-     * domain, and for reads (`isRead`) it enables the replica-reroute
-     * rung; a null target is control-plane traffic on domain 0.
+     * `node` attributes the transaction to the issuing node so the
+     * link stage can apply that node's link state (degraded latency,
+     * severed → sim::FabricPartitionError); the default kInvalidNode
+     * skips the link stage (device-internal traffic never crosses a
+     * node's link) but still queues at the port. `target` names the
+     * device address the transaction is headed for — it selects the
+     * fault domain, and for reads (`isRead`) it enables the
+     * replica-reroute rung; a null target is cacheline-sized
+     * control-plane traffic on domain 0, an addressed one moves a page.
      */
     void cxlTransaction(sim::SimClock &clock, const char *site,
                         NodeId node = kInvalidNode,
                         PhysAddr target = PhysAddr{},
                         bool isRead = false);
+
+    /**
+     * Charge `t` to the device port only: the queue stage and nothing
+     * else — no crash site, no link stage, no transient draw, no
+     * mem.cxl.transactions count. For port traffic whose failure model
+     * is already paid elsewhere (a checked twin read, a directory
+     * message). A no-op without a queue stage.
+     */
+    void
+    portTransaction(const Transaction &t, sim::SimClock &clock)
+    {
+        if (FabricStage *q = stage(FabricStage::Kind::Queue))
+            q->onTransaction(t, clock);
+    }
 
     /**
      * Read a frame's content token through the failure model: poisoned
@@ -504,6 +422,18 @@ class Machine
     void getFrame(PhysAddr addr) { ownerOf(addr).incRef(addr); }
 
   private:
+    /** The coherence stage, when one is installed and `addr` is on the
+     *  CXL tier (the directory tracks device lines only). */
+    FabricStage *
+    coherenceFor(PhysAddr addr) const
+    {
+        FabricStage *c = stage(FabricStage::Kind::Coherence);
+        return c && tierOf(addr) == Tier::Cxl ? c : nullptr;
+    }
+
+    /** The CXL allocator's free notification: coherence, then codec. */
+    void onFrameFreed(PhysAddr addr);
+
     sim::CostParams costs_;
     sim::FaultInjector injector_;
     mutable sim::Tracer tracer_;
@@ -512,11 +442,7 @@ class Machine
     std::unique_ptr<FrameAllocator> cxl_;
     std::vector<CacheModel> llc_;
     uint64_t cxlCapacity_ = 0;
-    PoisonRepairer *repairer_ = nullptr;
-    CoherenceModel *coherence_ = nullptr;
-    PageCodec *codec_ = nullptr;
-    FabricLinkModel *link_ = nullptr;
-    FabricQueue *queue_ = nullptr;
+    std::array<FabricStage *, FabricStage::kNumKinds> stages_{};
 
     // Hot-path metric handles, resolved once at construction so the
     // per-transaction cost is a pointer bump instead of a string-keyed

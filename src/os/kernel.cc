@@ -376,15 +376,14 @@ NodeOs::migrateFromCheckpoint(Task &task, mem::VirtAddr va, const Vma &vma,
         machine_.readFrame(ckptPte.frame(), id_, clock_,
                            "checkpoint migrate");
     // The page pull crosses the shared device port: with the fabric
-    // queue armed it occupies the read lane like any demand read. The
-    // hook is charged directly rather than via cxlTransaction so the
-    // migration mints no new crash site and pays the link model only
-    // once (readFrame's checked twin already covers both).
-    if (mem::FabricQueue *q = machine_.fabricQueue()) {
-        q->onTransaction(id_, ckptPte.frame(), /*isRead=*/true,
-                         machine_.costs().pageSize, clock_,
-                         "checkpoint migrate");
-    }
+    // queue armed it occupies the read lane like any demand read. It
+    // is port-only rather than a full cxlTransaction so the migration
+    // mints no new crash site and pays the link stage only once
+    // (readFrame's checked twin already covers both).
+    machine_.portTransaction({id_, ckptPte.frame(), /*isRead=*/true,
+                              machine_.costs().pageSize,
+                              "checkpoint migrate"},
+                             clock_);
     const mem::PhysAddr frame = localDram().alloc(
         mem::FrameUse::Data, isWrite ? contentOnWrite : content);
     FrameGuard guard(localDram(), frame);

@@ -244,7 +244,7 @@ PageTable::unmapRange(mem::VirtAddr lo, mem::VirtAddr hi)
                 // The shootdown also drops this node from the
                 // directory's sharer set for every checkpoint line the
                 // leaf mapped (walked only when a directory exists).
-                if (machine_.coherence()) {
+                if (machine_.stage(mem::FabricStage::Kind::Coherence)) {
                     for (uint32_t i = 0; i < TablePage::kEntries; ++i) {
                         const Pte &p = leaf->pte(i);
                         if (p.present() && p.cxlCheckpoint())
@@ -379,7 +379,7 @@ PageTable::releaseSubtree(TablePage &page)
         // their frames here. (The shared_ptr web frees the object.)
         // The directory still learns the node dropped its mappings of
         // any checkpoint lines — the address space is going away.
-        if (machine_.coherence()) {
+        if (machine_.stage(mem::FabricStage::Kind::Coherence)) {
             for (uint32_t i = 0; i < TablePage::kEntries; ++i) {
                 const Pte &p = page.pte(i);
                 if (p.present() && p.cxlCheckpoint())

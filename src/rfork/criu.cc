@@ -129,23 +129,24 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
     // nothing and touches no counters.
     // With the codec pipeline armed every image page pays its one-time
     // decompress on this bulk read (the checked read routes it through
-    // the codec hook); off, the scan stays peek-only and free.
+    // the codec stage); off, the scan stays peek-only and free.
     const bool compressed = fabric_.pageStore().compressEnabled();
     for (mem::PhysAddr fr : file->frames) {
         if (machine.frame(fr).poisoned || compressed) {
             machine.readFrameChecked(fr, clock, "criu image read",
                                      target.id());
-        } else if (mem::FabricQueue *q = machine.fabricQueue()) {
-            // Queue armed: the eager bulk read still occupies the
-            // device port page by page — this is precisely where an
-            // up-front copy loses to lazy faults under contention. The
-            // checked read above already routes through the queue; the
-            // clean-frame path charges the hook directly so it mints
-            // no crash site and stays free when the queue is off.
-            q->onTransaction(target.id(), fr, /*isRead=*/true,
-                             costs.pageSize, clock, "criu image read");
+        } else {
+            // The eager bulk read still occupies the device port page
+            // by page — this is precisely where an up-front copy loses
+            // to lazy faults under contention. The checked read above
+            // already routes through the queue; the clean-frame path
+            // is port-only so it mints no crash site and stays free
+            // when the queue is off.
+            machine.portTransaction(
+                {target.id(), fr, true, costs.pageSize, "criu image read"},
+                clock);
         }
-        if (machine.coherence()) {
+        if (machine.stage(mem::FabricStage::Kind::Coherence)) {
             // Directory on: the bulk read is additionally a
             // coherence-visible touch (sharer tracking + tax, nothing
             // in the shared fabric counters), and the target drops

@@ -289,7 +289,7 @@ CxlFork::restore(const std::shared_ptr<CheckpointHandle> &handle,
                 // tracking only — the off path and the shared fabric
                 // counters stay bit-identical to the pre-coherence
                 // tree).
-                if (machine.coherence()) {
+                if (machine.stage(mem::FabricStage::Kind::Coherence)) {
                     machine.touchFrame(leaf->backing(), target.id(), clock,
                                        "cxlfork leaf attach");
                 }

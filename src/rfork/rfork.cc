@@ -162,11 +162,11 @@ RemoteForkMechanism::tryRestore(
     for (uint32_t attempt = 0;; ++attempt) {
         try {
             // Fetching the handle's journal record is itself a fabric
-            // read, so with a link model installed every attempt is
+            // read, so with a link stage installed every attempt is
             // exposed to partition weather before mechanism-specific
-            // work starts. Without a link model the charge stays
+            // work starts. Without a link stage the charge stays
             // folded into the mechanism's own costs.
-            if (target.machine().linkModel())
+            if (target.machine().stage(mem::FabricStage::Kind::Link))
                 target.machine().cxlTransaction(
                     target.clock(), "restore attach", target.id());
             out.task = restore(handle, target, opts, stats);

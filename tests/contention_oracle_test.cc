@@ -101,8 +101,8 @@ measuredMeanWaitNs(double rho, uint64_t arrivals, uint64_t warmup,
         // arriving customer.
         sim::SimClock clock;
         clock.advance(sim::SimTime::ns(t));
-        q.onTransaction(NodeId(i % 2), addr, true, kPageSize, clock,
-                        "oracle");
+        q.onTransaction({NodeId(i % 2), addr, true, kPageSize, "oracle"},
+                        clock);
         if (i >= warmup) {
             waitSum += clock.now().toNs() - t;
             ++measured;
@@ -146,7 +146,7 @@ TEST(FabricQueueUnit, DisabledInstallsNothing)
     FabricQueueConfig qc; // enabled defaults to false
     FabricQueueModel q(machine, qc);
     EXPECT_FALSE(q.enabled());
-    EXPECT_EQ(machine.fabricQueue(), nullptr);
+    EXPECT_EQ(machine.stage(mem::FabricStage::Kind::Queue), nullptr);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
 }
 
@@ -155,9 +155,9 @@ TEST(FabricQueueUnit, InstallsAndUninstallsHook)
     mem::Machine machine(bareMachine());
     {
         FabricQueueModel q(machine, oneLaneConfig());
-        EXPECT_EQ(machine.fabricQueue(), &q);
+        EXPECT_EQ(machine.stage(mem::FabricStage::Kind::Queue), &q);
     }
-    EXPECT_EQ(machine.fabricQueue(), nullptr);
+    EXPECT_EQ(machine.stage(mem::FabricStage::Kind::Queue), nullptr);
 }
 
 TEST(FabricQueueUnit, SelfStreamNeverCharges)
@@ -167,7 +167,7 @@ TEST(FabricQueueUnit, SelfStreamNeverCharges)
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 50; ++i)
-        q.onTransaction(0, addr, true, kPageSize, clock, "self");
+        q.onTransaction({0, addr, true, kPageSize, "self"}, clock);
     EXPECT_TRUE(clock.now().isZero())
         << "a node queueing behind itself must not be charged";
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
@@ -180,16 +180,16 @@ TEST(FabricQueueUnit, UnattributedTrafficNeitherChargesNorIsCharged)
     FabricQueueModel q(machine, oneLaneConfig());
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock device;
-    q.onTransaction(mem::kInvalidNode, addr, true, kPageSize, device,
-                    "device");
+    q.onTransaction({mem::kInvalidNode, addr, true, kPageSize, "device"},
+                    device);
     sim::SimClock n0;
-    q.onTransaction(0, addr, true, kPageSize, n0, "n0");
+    q.onTransaction({0, addr, true, kPageSize, "n0"}, n0);
     EXPECT_TRUE(n0.now().isZero())
         << "device-internal occupancy must not charge an attributed "
            "stream on its own";
     sim::SimClock dev2;
-    q.onTransaction(mem::kInvalidNode, addr, true, kPageSize, dev2,
-                    "device2");
+    q.onTransaction({mem::kInvalidNode, addr, true, kPageSize, "device2"},
+                    dev2);
     EXPECT_TRUE(dev2.now().isZero());
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 0u);
 }
@@ -204,13 +204,13 @@ TEST(FabricQueueUnit, CrossStreamChargesAndCountsHeadOfLine)
     const double s = q.serviceTime(true, kPageSize).toNs();
 
     sim::SimClock n0;
-    q.onTransaction(0, addr, true, kPageSize, n0, "n0");
+    q.onTransaction({0, addr, true, kPageSize, "n0"}, n0);
     EXPECT_TRUE(n0.now().isZero()); // empty lane: no wait
 
     // Node 1 arrives at t=0 while node 0's page is in service: waits
     // out the full residual service plus the HoL turnaround.
     sim::SimClock n1;
-    q.onTransaction(1, addr, true, kPageSize, n1, "n1");
+    q.onTransaction({1, addr, true, kPageSize, "n1"}, n1);
     EXPECT_DOUBLE_EQ(n1.now().toNs(), s + 120.0);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.queued"), 1u);
     EXPECT_EQ(machine.metrics().counterValue("cxl.contention.hol_blocks"),
@@ -228,14 +228,14 @@ TEST(FabricQueueUnit, ReadAndWriteLanesAreIndependent)
     const PhysAddr addr = machine.cxl().base();
 
     sim::SimClock n0;
-    q.onTransaction(0, addr, /*isRead=*/true, kPageSize, n0, "n0.read");
+    q.onTransaction({0, addr, /*isRead=*/true, kPageSize, "n0.read"}, n0);
     // Node 1 *writes*: different lane, no interference.
     sim::SimClock n1;
-    q.onTransaction(1, addr, /*isRead=*/false, kPageSize, n1, "n1.write");
+    q.onTransaction({1, addr, /*isRead=*/false, kPageSize, "n1.write"}, n1);
     EXPECT_TRUE(n1.now().isZero());
     // But a read from node 1 queues behind node 0's read.
     sim::SimClock n1r;
-    q.onTransaction(1, addr, /*isRead=*/true, kPageSize, n1r, "n1.read");
+    q.onTransaction({1, addr, /*isRead=*/true, kPageSize, "n1.read"}, n1r);
     EXPECT_GT(n1r.now().toNs(), 0.0);
 }
 
@@ -253,10 +253,9 @@ TEST(FabricQueueUnit, DomainsStripeLikeRas)
 
     // Cross-node traffic on different domains never queues.
     sim::SimClock n0;
-    q.onTransaction(0, PhysAddr{base}, true, kPageSize, n0, "d0");
+    q.onTransaction({0, PhysAddr{base}, true, kPageSize, "d0"}, n0);
     sim::SimClock n1;
-    q.onTransaction(1, PhysAddr{base + kPageSize}, true, kPageSize, n1,
-                    "d1");
+    q.onTransaction({1, PhysAddr{base + kPageSize}, true, kPageSize, "d1"}, n1);
     EXPECT_TRUE(n1.now().isZero());
 }
 
@@ -271,12 +270,12 @@ TEST(FabricQueueUnit, BackgroundResidualIsDeterministic)
     // Period = s / rho = 2s. An arrival at t=0 lands at the start of
     // the background's service window: full residual s.
     sim::SimClock c0;
-    q.onTransaction(0, addr, true, kPageSize, c0, "bg0");
+    q.onTransaction({0, addr, true, kPageSize, "bg0"}, c0);
     EXPECT_DOUBLE_EQ(c0.now().toNs(), s);
     // An arrival in the idle half of the period is untouched.
     sim::SimClock c1;
     c1.advance(sim::SimTime::ns(1.5 * s));
-    q.onTransaction(0, addr, true, kPageSize, c1, "bg1");
+    q.onTransaction({0, addr, true, kPageSize, "bg1"}, c1);
     EXPECT_DOUBLE_EQ(c1.now().toNs(), 1.5 * s);
 }
 
@@ -287,7 +286,7 @@ TEST(FabricQueueUnit, DrainRetiresEverythingExactlyOnce)
     const PhysAddr addr = machine.cxl().base();
     sim::SimClock clock;
     for (int i = 0; i < 10; ++i)
-        q.onTransaction(0, addr, i % 2 == 0, kPageSize, clock, "drain");
+        q.onTransaction({0, addr, i % 2 == 0, kPageSize, "drain"}, clock);
     EXPECT_EQ(q.enqueued(), 10u);
     EXPECT_GT(q.inFlight(), 0u);
     q.drain();

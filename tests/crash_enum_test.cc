@@ -294,8 +294,8 @@ TEST(CrashEnumCoherence, EverySiteRecoversCriuHdmD)
 
 // --- The sweep again with the fabric queue model armed.
 //
-// The queue hook charges latency but sits *after* the crash point in
-// cxlTransaction and the coherence paths bypass it for crash purposes,
+// The queue stage charges latency but sits *after* the crash point in
+// cxlTransaction and the coherence paths reach it port-only,
 // so arming it must not add, remove, or reorder a single crash site —
 // and every site must still recover restorable-or-absent with zero
 // leaks while contention delays stretch the simulated timeline.

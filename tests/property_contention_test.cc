@@ -241,7 +241,7 @@ fuzzOneSeed(uint64_t seed)
 
             sim::SimClock clock;
             clock.advance(sim::SimTime::ns(streamNowNs[si]));
-            q.onTransaction(n, addr, isRead, bytes, clock, "fuzz");
+            q.onTransaction({n, addr, isRead, bytes, "fuzz"}, clock);
             const double chargedNs =
                 clock.now().toNs() - streamNowNs[si];
 

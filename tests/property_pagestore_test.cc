@@ -240,15 +240,16 @@ TEST(PageStoreCollision, ByteCompareRejectsHashAliases)
 }
 
 /** Records the target of every pagestore collision-check transaction. */
-class CollisionCheckRecorder : public mem::FabricQueue
+class CollisionCheckRecorder : public mem::FabricStage
 {
   public:
+    CollisionCheckRecorder() : mem::FabricStage(Kind::Queue) {}
+
     void
-    onTransaction(mem::NodeId, mem::PhysAddr addr, bool, uint64_t,
-                  sim::SimClock &, const char *site) override
+    onTransaction(const mem::Transaction &t, sim::SimClock &) override
     {
-        if (std::strcmp(site, "pagestore collision check") == 0)
-            targets.push_back(addr.raw);
+        if (std::strcmp(t.site, "pagestore collision check") == 0)
+            targets.push_back(t.target.raw);
     }
 
     std::vector<uint64_t> targets;
@@ -270,7 +271,7 @@ TEST_P(PageStoreFlatIndex, CandidateOrderSurvivesGrowthWrapAndDeletion)
     const uint32_t bits = GetParam();
     CollisionCheckRecorder recorder; // outlives the machine using it
     mem::Machine machine(test::smallConfig());
-    machine.setFabricQueue(&recorder);
+    machine.install(recorder);
     PageStoreConfig cfg;
     cfg.dedup = true;
     cfg.hashBits = bits;

@@ -68,6 +68,8 @@ for jobs in 1 8; do
     CXLFORK_JOBS="$jobs" CXLFORK_WALLCLOCK_JSON="$WALLCLOCK_OUT" \
         "$BUILD_DIR/bench/bench_fig8_tiering" > /dev/null
     CXLFORK_JOBS="$jobs" CXLFORK_WALLCLOCK_JSON="$WALLCLOCK_OUT" \
+        "$BUILD_DIR/bench/bench_fig9_latency" > /dev/null
+    CXLFORK_JOBS="$jobs" CXLFORK_WALLCLOCK_JSON="$WALLCLOCK_OUT" \
         "$BUILD_DIR/bench/bench_fig10_porter" > /dev/null
     CXLFORK_JOBS="$jobs" CXLFORK_WALLCLOCK_JSON="$WALLCLOCK_OUT" \
         "$BUILD_DIR/bench/bench_ext_coherence" > /dev/null
