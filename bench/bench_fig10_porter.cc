@@ -41,7 +41,7 @@ main()
                 trace.size(), tc.duration.toSec(),
                 porter::TraceGenerator::measuredRps(trace, tc.duration));
 
-    porter::PerfModel perf;
+    porter::PerfModel perf(bench::benchCosts());
 
     struct Variant
     {

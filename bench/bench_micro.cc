@@ -299,6 +299,72 @@ BM_Crc32Update64(benchmark::State &state)
 }
 BENCHMARK(BM_Crc32Update64);
 
+/**
+ * A bulk CRC-32 update of Arg bytes: the path SharedFs::write/verify
+ * take over a whole encoded image file, and image sealing over each
+ * 513-token block.
+ */
+void
+BM_Crc32Update(benchmark::State &state)
+{
+    std::vector<uint8_t> buf(size_t(state.range(0)));
+    sim::Rng rng(11);
+    for (uint8_t &b : buf)
+        b = uint8_t(rng.raw());
+    sim::Crc32 crc;
+    for (auto _ : state) {
+        crc.update(buf.data(), buf.size());
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(buf.size()));
+}
+BENCHMARK(BM_Crc32Update)->Arg(4096)->Arg(1 << 20);
+
+/**
+ * Warm parents of the largest Table-1 function (Bert, 630 MB), shared
+ * by the restore-side integrity and decode benches.
+ */
+struct BertCheckpoints
+{
+    porter::Cluster cluster{bench::benchClusterConfig()};
+    std::unique_ptr<faas::FunctionInstance> parent =
+        bench::deployWarmParent(cluster, *faas::findWorkload("Bert"), 1);
+};
+
+/** Re-verify every segment CRC of a sealed CXLfork image (restore). */
+void
+BM_ImageVerifyIntegrity(benchmark::State &state)
+{
+    BertCheckpoints bert;
+    rfork::CxlFork cxlf(bert.cluster.fabric());
+    const auto image = rfork::CxlFork::image(
+        cxlf.checkpoint(bert.cluster.node(0), bert.parent->task()));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(image->verifyIntegrity());
+    state.counters["pages"] = double(image->pageCount());
+}
+BENCHMARK(BM_ImageVerifyIntegrity)->Unit(benchmark::kMicrosecond);
+
+/** Parse one encoded CRIU image file (restore's read_image phase). */
+void
+BM_CriuImageDecode(benchmark::State &state)
+{
+    BertCheckpoints bert;
+    rfork::CriuCxl criu(bert.cluster.fabric());
+    const auto handle = std::static_pointer_cast<rfork::CriuHandle>(
+        criu.checkpoint(bert.cluster.node(0), bert.parent->task()));
+    const cxl::CxlFsFile *file =
+        bert.cluster.fabric().sharedFs().open(handle->fileName());
+    for (auto _ : state) {
+        proto::Decoder d(file->data);
+        benchmark::DoNotOptimize(proto::CriuImageMsg::decode(d));
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(file->data.size()));
+}
+BENCHMARK(BM_CriuImageDecode)->Unit(benchmark::kMicrosecond);
+
 /** Distinct nonzero page contents for the PageStore benches. */
 uint64_t
 pageToken(uint64_t i)

@@ -18,19 +18,25 @@ using faas::FunctionInstance;
 using faas::FunctionSpec;
 using sim::SimTime;
 
-porter::ClusterConfig
-benchClusterConfig(sim::CostParams costs)
+sim::CostParams
+benchCosts(sim::CostParams costs)
 {
     // The golden-regression perturbation hook: a changed CXL latency
     // must move the per-phase metrics, which the golden diff catches.
     if (const auto ns = envNumber("CXLFORK_CXL_LATENCY_NS", 0.0, 1e6))
         costs.cxlLatency = SimTime::ns(*ns);
+    return costs;
+}
+
+porter::ClusterConfig
+benchClusterConfig(sim::CostParams costs)
+{
     porter::ClusterConfig cfg;
     cfg.machine.numNodes = 2;
     cfg.machine.dramPerNodeBytes = mem::gib(4);
     cfg.machine.cxlCapacityBytes = mem::gib(4);
     cfg.machine.llcBytes = mem::mib(64);
-    cfg.machine.costs = costs;
+    cfg.machine.costs = benchCosts(costs);
     // RAS opt-in: replication is off by default so every bench stays
     // bit-identical to the pre-RAS tree; setting a replica count turns
     // the whole layer on (write-verify, replication, repair ladder).

@@ -15,8 +15,9 @@
  *  - CXLFORK_METRICS_JSON=<path>: write the bench metrics registry as
  *    flat JSON on finishBench() (the golden-file format).
  *  - CXLFORK_CXL_LATENCY_NS=<ns>: override the CXL access latency in
- *    benchClusterConfig() — the documented perturbation hook that the
- *    golden suite uses to prove it catches cost regressions.
+ *    benchCosts(), which both benchClusterConfig() and the benches'
+ *    own porter::PerfModel use — the documented perturbation hook that
+ *    the golden suite uses to prove it catches cost regressions.
  *  - CXLFORK_JOBS=<n>: host worker threads for runSweep() (default:
  *    hardware concurrency). Simulated results are identical at any
  *    value; only host wall-clock changes.
@@ -125,8 +126,14 @@ envNumber(const char *name, T lo, T hi)
 }
 
 /**
- * A cluster big enough for Bert (630 MB) under every mechanism.
- * Honors CXLFORK_CXL_LATENCY_NS (see file comment).
+ * `costs` with the bench cost knobs applied: CXLFORK_CXL_LATENCY_NS
+ * (see file comment).
+ */
+sim::CostParams benchCosts(sim::CostParams costs = {});
+
+/**
+ * A cluster big enough for Bert (630 MB) under every mechanism, with
+ * benchCosts(costs).
  */
 porter::ClusterConfig benchClusterConfig(sim::CostParams costs = {});
 

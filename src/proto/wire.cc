@@ -29,7 +29,7 @@ Encoder::putBytes(const uint8_t *data, size_t n)
 }
 
 uint64_t
-Decoder::getVarint()
+Decoder::getVarintSlow()
 {
     uint64_t v = 0;
     int shift = 0;

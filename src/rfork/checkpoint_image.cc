@@ -74,17 +74,30 @@ CheckpointImage::computeCrcs() const
     // resetAccessedBits() flips them too. Everything else is immutable.
     constexpr uint64_t kMutableBits = Pte::kAccessed | Pte::kSoftHot;
 
+    // Tokens are gathered into one stack block and fed with a single
+    // update() per block, which takes the CRC's bulk kernel; the
+    // digest equals one update64() per token because a token's bytes
+    // sit little-endian in the block (crc32.hh asserts the host is).
+    constexpr size_t kBlockTokens = 1 + TablePage::kEntries;
+    uint64_t block[kBlockTokens];
+
     ImageCrcs out;
     sim::Crc32 pages;
-    for (mem::PhysAddr f : dataFrames_)
-        pages.update64(machine_.cxl().frame(f).content);
+    for (size_t i = 0; i < dataFrames_.size(); i += kBlockTokens) {
+        const size_t n = std::min(kBlockTokens, dataFrames_.size() - i);
+        for (size_t k = 0; k < n; ++k)
+            block[k] = machine_.cxl().frame(dataFrames_[i + k]).content;
+        pages.update(block, n * sizeof(uint64_t));
+    }
     out.pages = pages.value();
 
+    // One block per leaf: its base VPN, then its 512 masked PTEs.
     sim::Crc32 leaves;
     for (const auto &[base, leaf] : leaves_) {
-        leaves.update64(base);
+        block[0] = base;
         for (uint32_t i = 0; i < TablePage::kEntries; ++i)
-            leaves.update64(leaf->pte(i).raw() & ~kMutableBits);
+            block[1 + i] = leaf->pte(i).raw() & ~kMutableBits;
+        leaves.update(block, sizeof(block));
     }
     out.leaves = leaves.value();
 

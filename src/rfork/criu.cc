@@ -189,12 +189,18 @@ CriuCxl::restore(const std::shared_ptr<CheckpointHandle> &handle,
             clock.advance(costs.fileOpen);
     }
 
-    // Copy every checkpointed page into local memory and map it.
+    // Copy every checkpointed page into local memory and map it. Pages
+    // arrive in ascending VPN order, so the VMA of the previous page
+    // usually holds the next one too and the tree is searched only
+    // when a page leaves it.
+    const os::Vma *vma = nullptr;
     for (const proto::PageMsg &pm : image.pages) {
         const mem::VirtAddr va = mem::VirtAddr::fromPageNumber(pm.vpn);
-        const os::Vma *vma = task->mm().vmas().findLocal(va);
-        if (!vma)
-            sim::fatal("CRIU image page outside any VMA");
+        if (!vma || !vma->contains(va)) {
+            vma = task->mm().vmas().findLocal(va);
+            if (!vma)
+                sim::fatal("CRIU image page outside any VMA");
+        }
         const mem::PhysAddr frame =
             target.localDram().alloc(mem::FrameUse::Data, pm.content);
         task->mm().pageTable().setPte(va, Pte::make(frame, vma->writable()));

@@ -5,20 +5,38 @@
  * to 32 bits, which is exactly the torn-write / bit-rot failure model
  * injected on the simulated CXL device.
  *
- * Slicing-by-8: eight derived tables let one step fold eight input
- * bytes, so a 64-bit token costs one table round instead of eight
- * dependent byte steps. The digest is identical to the byte-at-a-time
- * form. (The SSE4.2 crc32 instruction computes CRC-32C, a different
- * polynomial, so it cannot stand in here.)
+ * Two kernels compute the identical digest:
+ *  - Slicing-by-8 (crc32Table): eight derived tables let one step fold
+ *    eight input bytes, so a 64-bit token costs one table round
+ *    instead of eight dependent byte steps. It runs on every CPU, feeds
+ *    every short update, and is the reference the tests compare the
+ *    other kernel against.
+ *  - Carry-less folding (crc32Clmul): on x86 CPUs with PCLMULQDQ and
+ *    SSE4.1, updates of at least 64 bytes fold 64-byte blocks with
+ *    carry-less multiplies by x^k mod P constants and Barrett-reduce
+ *    the remainder, which is the same polynomial arithmetic as the
+ *    tables, so the digest is bit-identical. The kernel is chosen once
+ *    per process from the CPU's feature bits; there is no switch.
+ *
+ * The SSE4.2 crc32 instruction computes CRC-32C (Castagnoli), a
+ * different polynomial, so it cannot stand in for either kernel: every
+ * sealed digest would change.
  */
 
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace cxlfork::sim {
+
+// Tokens are fed as their little-endian bytes: update64(v) and
+// update(&v, 8) agree only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "CRC-32 token feeds assume a little-endian host");
 
 namespace detail {
 
@@ -46,39 +64,76 @@ makeCrc32Tables()
 
 inline constexpr Crc32Tables kCrc32Tables = makeCrc32Tables();
 
+/** Fold v's eight little-endian bytes into `state` in one step. */
+inline uint32_t
+crc32Fold64(uint32_t state, uint64_t v)
+{
+    const auto &t = kCrc32Tables;
+    const uint32_t lo = uint32_t(v) ^ state;
+    const uint32_t hi = uint32_t(v >> 32);
+    return t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+           t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+           t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^
+           t[0][hi >> 24];
+}
+
+/** Slicing-by-8 kernel: any length, any CPU. Returns the new state. */
+inline uint32_t
+crc32Table(uint32_t state, const uint8_t *p, size_t n)
+{
+    for (; n >= 8; n -= 8, p += 8) {
+        uint64_t v;
+        std::memcpy(&v, p, sizeof(v));
+        state = crc32Fold64(state, v);
+    }
+    for (; n > 0; --n, ++p)
+        state = kCrc32Tables[0][(state ^ *p) & 0xFF] ^ (state >> 8);
+    return state;
+}
+
+/**
+ * Carry-less folding kernel: any length (the 16-byte-multiple prefix
+ * of a buffer of at least 64 bytes is folded, the rest goes through
+ * crc32Table). Callable only when crc32ClmulSupported().
+ */
+uint32_t crc32Clmul(uint32_t state, const uint8_t *p, size_t n);
+
+/** True when this CPU runs crc32Clmul (PCLMULQDQ and SSE4.1). */
+inline bool
+crc32ClmulSupported()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return supported;
+#else
+    return false;
+#endif
+}
+
 } // namespace detail
 
 /** Incremental CRC-32 over heterogeneous fields. */
 class Crc32
 {
   public:
+    /** Updates below this many bytes stay on the table kernel. */
+    static constexpr size_t kBulkBytes = 64;
+
     void
     update(const void *data, size_t n)
     {
         const auto *p = static_cast<const uint8_t *>(data);
-        for (; n >= 8; n -= 8, p += 8) {
-            uint64_t v = 0;
-            for (int i = 0; i < 8; ++i)
-                v |= uint64_t(p[i]) << (8 * i);
-            update64(v);
-        }
-        for (; n > 0; --n, ++p)
-            state_ = detail::kCrc32Tables[0][(state_ ^ *p) & 0xFF] ^
-                     (state_ >> 8);
+        state_ = n >= kBulkBytes && detail::crc32ClmulSupported()
+                     ? detail::crc32Clmul(state_, p, n)
+                     : detail::crc32Table(state_, p, n);
     }
 
     /** Fold v's eight little-endian bytes in one slicing-by-8 step. */
-    void
-    update64(uint64_t v)
-    {
-        const auto &t = detail::kCrc32Tables;
-        const uint32_t lo = uint32_t(v) ^ state_;
-        const uint32_t hi = uint32_t(v >> 32);
-        state_ = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
-                 t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
-                 t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-                 t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
-    }
+    void update64(uint64_t v) { state_ = detail::crc32Fold64(state_, v); }
 
     /** Finalized digest; the accumulator keeps running. */
     uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }

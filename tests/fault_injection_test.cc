@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "porter/autoscaler.hh"
 #include "porter/trace.hh"
 #include "rfork/criu.hh"
@@ -185,17 +187,23 @@ TEST(Crc32, CatchesEverySingleBitFlip)
     EXPECT_EQ(sim::crc32(data.data(), data.size()), sealed);
 }
 
-/** Bitwise CRC-32 straight from the polynomial: the reference. */
+/** Bitwise CRC-32 register update straight from the polynomial. */
 uint32_t
-bitwiseCrc32(const uint8_t *p, size_t n)
+bitwiseCrc32State(uint32_t c, const uint8_t *p, size_t n)
 {
-    uint32_t c = 0xFFFFFFFFu;
     for (size_t i = 0; i < n; ++i) {
         c ^= p[i];
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+/** Bitwise CRC-32 of a buffer: the reference. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, size_t n)
+{
+    return bitwiseCrc32State(0xFFFFFFFFu, p, n) ^ 0xFFFFFFFFu;
 }
 
 TEST(Crc32, PinsTheIeeePolynomialAndEveryFeedPath)
@@ -240,6 +248,73 @@ TEST(Crc32, PinsTheIeeePolynomialAndEveryFeedPath)
         ASSERT_EQ(sim::crc32(buf.data(), buf.size()),
                   bitwiseCrc32(buf.data(), buf.size()))
             << "length " << buf.size();
+    }
+}
+
+// Both kernels, called directly: every length 0-320 (below, at and
+// past the 64-byte bulk threshold, every 16-byte tail) at every start
+// offset 0-15.
+TEST(Crc32, BothKernelsEqualTheBitwiseReference)
+{
+    const bool clmul = sim::detail::crc32ClmulSupported();
+    if (!clmul)
+        std::printf("note: no PCLMULQDQ here; table kernel only\n");
+    sim::Rng rng(0xc4c3'2002);
+    std::vector<uint8_t> buf(16 + 320);
+    for (uint8_t &b : buf)
+        b = uint8_t(rng.raw());
+    for (size_t offset = 0; offset < 16; ++offset) {
+        for (size_t n = 0; n <= 320; ++n) {
+            const uint8_t *p = buf.data() + offset;
+            const uint32_t want = bitwiseCrc32State(0xFFFFFFFFu, p, n);
+            ASSERT_EQ(sim::detail::crc32Table(0xFFFFFFFFu, p, n), want)
+                << "table, offset " << offset << " length " << n;
+            if (clmul) {
+                ASSERT_EQ(sim::detail::crc32Clmul(0xFFFFFFFFu, p, n), want)
+                    << "clmul, offset " << offset << " length " << n;
+            }
+        }
+    }
+}
+
+// A running state handed between update64, short updates (table) and
+// bulk updates (clmul where the CPU has it) in any order.
+TEST(Crc32, MixedFeedsPassStateBetweenKernels)
+{
+    const bool clmul = sim::detail::crc32ClmulSupported();
+    sim::Rng rng(0xc4c3'2003);
+    std::vector<uint8_t> buf;
+    sim::Crc32 crc;
+    uint32_t table = 0xFFFFFFFFu;
+    uint32_t folded = 0xFFFFFFFFu;
+    uint32_t want = 0xFFFFFFFFu;
+    for (int step = 0; step < 600; ++step) {
+        if (rng.index(3) == 0) {
+            const uint64_t v = rng.raw();
+            uint8_t bytes[8];
+            for (int b = 0; b < 8; ++b)
+                bytes[b] = uint8_t(v >> (8 * b));
+            crc.update64(v);
+            table = sim::detail::crc32Fold64(table, v);
+            folded = sim::detail::crc32Fold64(folded, v);
+            want = bitwiseCrc32State(want, bytes, 8);
+        } else {
+            buf.resize(rng.index(200));
+            for (uint8_t &b : buf)
+                b = uint8_t(rng.raw());
+            crc.update(buf.data(), buf.size());
+            table = sim::detail::crc32Table(table, buf.data(), buf.size());
+            if (clmul) {
+                folded = sim::detail::crc32Clmul(folded, buf.data(),
+                                                 buf.size());
+            } else {
+                folded = table;
+            }
+            want = bitwiseCrc32State(want, buf.data(), buf.size());
+        }
+        ASSERT_EQ(crc.value(), want ^ 0xFFFFFFFFu) << "step " << step;
+        ASSERT_EQ(table, want) << "step " << step;
+        ASSERT_EQ(folded, want) << "step " << step;
     }
 }
 

@@ -57,6 +57,95 @@ TEST(Wire, OverlongVarintThrows)
     EXPECT_THROW(d.getVarint(), sim::FatalError);
 }
 
+/**
+ * What one read of `bytes` gives on a decoder: the value and the bytes
+ * consumed, or the fatal message.
+ */
+struct VarintRead
+{
+    uint64_t value = 0;
+    size_t consumed = 0;
+    std::string error;
+
+    bool operator==(const VarintRead &) const = default;
+};
+
+VarintRead
+readVarint(const std::vector<uint8_t> &bytes, bool slow)
+{
+    Decoder d(bytes);
+    VarintRead r;
+    try {
+        r.value = slow ? d.getVarintSlow() : d.getVarint();
+    } catch (const sim::FatalError &e) {
+        r.error = e.what();
+    }
+    r.consumed = bytes.size() - d.remaining();
+    return r;
+}
+
+/**
+ * getVarint's fast path (taken with at least kMaxVarintBytes left) and
+ * the bounds-checked slow path give the same value or the same fatal
+ * error on each buffer, and leave the decoder at the same position.
+ */
+TEST(Wire, VarintFastAndSlowPathsAgree)
+{
+    constexpr size_t kWindow = Decoder::kMaxVarintBytes;
+    const std::vector<uint8_t> maxVarint{0xff, 0xff, 0xff, 0xff, 0xff,
+                                         0xff, 0xff, 0xff, 0xff, 0x01};
+    std::vector<uint8_t> overflow(kWindow, 0x80);
+    std::vector<uint8_t> overflowPadded = overflow;
+    overflowPadded.insert(overflowPadded.end(), 5, 0x00);
+    std::vector<uint8_t> maxPadded = maxVarint;
+    maxPadded.insert(maxPadded.end(), 3, 0x7f);
+    std::vector<uint8_t> shortPadded{0xac, 0x02};
+    shortPadded.insert(shortPadded.end(), kWindow, 0x00);
+
+    const struct
+    {
+        const char *name;
+        std::vector<uint8_t> bytes;
+        bool fastWindow; ///< getVarint takes the fast path.
+        const char *error;
+    } cases[] = {
+        {"ends on the last byte", {0xac, 0x02}, false, nullptr},
+        {"max ends on the last byte", maxVarint, true, nullptr},
+        {"max inside the window", maxPadded, true, nullptr},
+        {"short inside the window", shortPadded, true, nullptr},
+        {"11th-byte overflow at the end", overflow, true, "overflow"},
+        {"11th-byte overflow in the window", overflowPadded, true,
+         "overflow"},
+        {"truncated", {0x80, 0x80, 0x80}, false, "truncated"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(c.bytes.size() >= kWindow, c.fastWindow);
+        const VarintRead fast = readVarint(c.bytes, false);
+        const VarintRead slow = readVarint(c.bytes, true);
+        EXPECT_EQ(fast, slow) << fast.error << " vs " << slow.error;
+        if (c.error)
+            EXPECT_NE(slow.error.find(c.error), std::string::npos);
+        else
+            EXPECT_EQ(slow.error, "");
+    }
+    EXPECT_EQ(readVarint(maxVarint, false).value, ~0ull);
+    EXPECT_EQ(readVarint(maxVarint, false).consumed, kWindow);
+    EXPECT_EQ(readVarint(shortPadded, false).value, 300u);
+    EXPECT_EQ(readVarint(shortPadded, false).consumed, 2u);
+
+    // Random bytes, mostly continuing, so every length from 1 to past
+    // the 10-byte window turns up, with junk bits in the 10th byte.
+    std::mt19937_64 rng(0x5a17);
+    for (int i = 0; i < 20000; ++i) {
+        std::vector<uint8_t> bytes(kWindow + rng() % 6);
+        for (uint8_t &b : bytes)
+            b = uint8_t(rng()) | (rng() % 8 ? 0x80 : 0x00);
+        ASSERT_EQ(readVarint(bytes, false), readVarint(bytes, true))
+            << "case " << i;
+    }
+}
+
 GlobalStateMsg
 sampleGlobal()
 {

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cxl/rebase.hh"
 #include "rfork/checkpoint_image.hh"
 #include "rfork/cxlfork.hh"
 #include "rfork/state_capture.hh"
+#include "sim/crc32.hh"
 #include "test_util.hh"
 
 namespace cxlfork::rfork {
@@ -107,6 +110,43 @@ TEST_F(ImageTest, DuplicateLeafIsABug)
     CheckpointImage img(*world.machine, "t");
     img.addLeaf(0, makeImageLeaf(1));
     EXPECT_DEATH(img.addLeaf(0, makeImageLeaf(1)), "duplicate leaf");
+}
+
+// computeCrcs feeds tokens in 513-token blocks (one whole leaf, or up
+// to 513 data-frame tokens); the sealed digests must equal feeding the
+// same tokens one update64 at a time, on both sides of every block
+// boundary.
+TEST_F(ImageTest, BlockFeedEqualsTokenAtATimeDigest)
+{
+    constexpr uint64_t kMutableBits = Pte::kAccessed | Pte::kSoftHot;
+    auto &cxl = world.machine->cxl();
+    for (uint32_t frames : {0u, 1u, 511u, 512u, 513u, 1500u}) {
+        CheckpointImage img(*world.machine, "t");
+        for (uint32_t i = 0; i < frames; ++i) {
+            img.addDataFrame(cxl.alloc(mem::FrameUse::Data,
+                                       (i + 1) * 0x9e37'79b9'7f4a'7c15ull));
+        }
+        for (uint32_t left = frames, base = 0; left > 0; base += 512) {
+            const uint32_t n = std::min(left, TablePage::kEntries);
+            img.addLeaf(base, makeImageLeaf(n, /*dirtyOdd=*/true));
+            left -= n;
+        }
+        img.activate();
+        img.sealIntegrity();
+
+        sim::Crc32 pages;
+        for (uint32_t i = 0; i < frames; ++i)
+            pages.update64((i + 1) * 0x9e37'79b9'7f4a'7c15ull);
+        sim::Crc32 leaves;
+        for (const auto &[base, leaf] : img.leaves()) {
+            leaves.update64(base);
+            for (uint32_t i = 0; i < TablePage::kEntries; ++i)
+                leaves.update64(leaf->pte(i).raw() & ~kMutableBits);
+        }
+        EXPECT_EQ(img.crcs().pages, pages.value()) << frames << " frames";
+        EXPECT_EQ(img.crcs().leaves, leaves.value()) << frames << " frames";
+        EXPECT_FALSE(img.verifyIntegrity().has_value()) << frames;
+    }
 }
 
 TEST_F(ImageTest, CaptureGlobalStateRoundTripsThroughRedo)

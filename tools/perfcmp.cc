@@ -6,11 +6,12 @@
  * Usage: perfcmp <baseline.json> <current.json> [max-regression]
  *
  * Each input line is `{"bench": ..., "value": ..., "unit": ...,
- * "jobs": ...}`. Entries are keyed by (bench, unit); duplicate keys
- * (reruns, different job counts) keep the minimum value, which damps
- * scheduler noise. Only keys present in both files are compared; a
- * current value more than `max-regression` (default 0.20 = +20%) above
- * the baseline makes the exit status non-zero.
+ * "jobs": ...}`. Entries are keyed by (bench, jobs, unit), so a bench
+ * run at CXLFORK_JOBS=1 and =8 is gated once per job count; duplicate
+ * keys (reruns) keep the minimum value, which damps scheduler noise.
+ * A line without "jobs" keys as jobs=0. Only keys present in both files
+ * are compared; a current value more than `max-regression` (default
+ * 0.20 = +20%) above the baseline makes the exit status non-zero.
  *
  * This guards *host* performance only — simulated results are guarded
  * by the golden suite. Wall-clock is inherently noisy, so the
@@ -77,7 +78,10 @@ load(const char *path)
         double value = 0;
         if (bench.empty() || !jsonNumber(line, "value", value))
             continue;
-        Entry &e = entries[bench + " [" + unit + "]"];
+        double jobs = 0;
+        jsonNumber(line, "jobs", jobs);
+        Entry &e = entries[bench + " jobs=" + std::to_string(long(jobs)) +
+                           " [" + unit + "]"];
         if (!e.seen || value < e.value)
             e.value = value;
         e.seen = true;

@@ -33,7 +33,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target "${BENCHES[@]}" \
     sim_threadpool_test property_pagestore_test \
     litmus_coherence_test property_coherence_test \
     speculative_determinism_test link_health_test partition_soak_test \
-    property_contention_test
+    property_contention_test fault_injection_test proto_wire_test \
+    rfork_image_test
 
 echo "== ThreadPool unit test under TSan"
 "$BUILD_DIR/tests/sim_threadpool_test"
@@ -54,6 +55,14 @@ echo "== Link-health units + partition soak under TSan"
 
 echo "== Fabric-queue shadow fuzz under TSan"
 "$BUILD_DIR/tests/property_contention_test"
+
+# Both CRC-32 kernels (the carry-less one is built for
+# target("pclmul,sse4.1") and picked once per process), the image
+# block feed and the varint fast/slow paths, built with TSan.
+echo "== CRC-32 kernels, image block feed and varint decoder under TSan"
+"$BUILD_DIR/tests/fault_injection_test" --gtest_filter='Crc32.*'
+"$BUILD_DIR/tests/rfork_image_test" --gtest_filter='*BlockFeed*'
+"$BUILD_DIR/tests/proto_wire_test"
 
 for bench in "${BENCHES[@]}"; do
     echo "== $bench under TSan with CXLFORK_JOBS=$SWEEP_JOBS"
