@@ -116,8 +116,6 @@ main()
         porter::PorterFaults f;
         f.transientRestoreRate = p.transient;
         f.corruptRestoreRate = p.corrupt;
-        f.maxRestoreRetries = 2;
-        f.restoreRetryBackoff = SimTime::ms(1);
         const PorterMetrics m = runWith(f);
         t2.addRow({sim::Table::num(p.transient, 2),
                    sim::Table::num(p.corrupt, 2),

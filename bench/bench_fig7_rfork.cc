@@ -41,24 +41,13 @@ main()
             auto parent = bench::deployWarmParent(cluster, w.spec);
             row.local = bench::runLocalForkScenario(cluster, *parent);
         }
-        // With CXLFORK_PREFETCH set, every restore below additionally
-        // runs a trace-trained speculative prefetch schedule (trained
-        // on sacrificial lazy restores before the measured one).
-        rfork::RestoreOptions opts;
-        rfork::PrefetchSchedule sched;
-
         // CRIU-CXL.
         {
             porter::Cluster cluster(bench::benchClusterConfig());
             auto parent = bench::deployWarmParent(cluster, w.spec);
             rfork::CriuCxl criu(cluster.fabric());
             auto h = criu.checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, criu, h, w.spec, 1);
-                opts.prefetch = &sched;
-            }
-            row.criu = bench::runRestoreScenario(cluster, criu, h, w.spec, 1,
-                                                 opts);
+            row.criu = bench::runRestoreScenario(cluster, criu, h, w.spec, 1);
             bench::collectRestorePhases(cluster.machine(),
                                         "fig7.phase.criu");
         }
@@ -68,12 +57,7 @@ main()
             auto parent = bench::deployWarmParent(cluster, w.spec);
             rfork::MitosisCxl mito(cluster.fabric());
             auto h = mito.checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, mito, h, w.spec, 1);
-                opts.prefetch = &sched;
-            }
-            row.mito = bench::runRestoreScenario(cluster, mito, h, w.spec, 1,
-                                                 opts);
+            row.mito = bench::runRestoreScenario(cluster, mito, h, w.spec, 1);
             bench::collectRestorePhases(cluster.machine(),
                                         "fig7.phase.mitosis");
         }
@@ -83,12 +67,7 @@ main()
             auto parent = bench::deployWarmParent(cluster, w.spec);
             rfork::CxlFork cxlf(cluster.fabric());
             auto h = cxlf.checkpoint(cluster.node(0), parent->task());
-            if (bench::prefetchEnabled()) {
-                sched = bench::trainSchedule(cluster, cxlf, h, w.spec, 1);
-                opts.prefetch = &sched;
-            }
-            row.cxlf = bench::runRestoreScenario(cluster, cxlf, h, w.spec, 1,
-                                                 opts);
+            row.cxlf = bench::runRestoreScenario(cluster, cxlf, h, w.spec, 1);
             bench::collectRestorePhases(cluster.machine(),
                                         "fig7.phase.cxlfork");
             bench::maybeWriteChromeTrace(cluster.machine(),

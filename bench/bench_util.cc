@@ -6,7 +6,11 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 #include <utility>
+
+#include <unistd.h>
 
 #include "cxl/coherence.hh"
 #include "sim/log.hh"
@@ -44,9 +48,6 @@ benchClusterConfig(sim::CostParams costs)
         cfg.ras.replicas = *k;
         cfg.ras.enabled = *k > 0;
     }
-    if (const auto n =
-            envNumber<uint64_t>("CXLFORK_RAS_THRESHOLD", 1, 1'000'000'000))
-        cfg.ras.replicaThreshold = *n;
     // Coherence opt-in, same contract as RAS: unset or "off" means no
     // directory is built and every bench output stays bit-identical to
     // the pre-coherence tree.
@@ -76,10 +77,6 @@ benchClusterConfig(sim::CostParams costs)
         cfg.machine.faults.linkDegradeRate = *r;
         cfg.link.enabled = *r > 0.0;
     }
-    if (const auto f = envNumber("CXLFORK_DEGRADE_FACTOR", 1.0, 1000.0))
-        cfg.link.degradeFactor = *f;
-    if (const auto k = envNumber<uint32_t>("CXLFORK_HEARTBEAT_K", 0, 1000))
-        cfg.heartbeatK = *k;
     // Contention opt-in, same contract: unset (or 0) installs no queue
     // model, no transaction consults it, and every bench output stays
     // bit-identical to the pre-queue tree. The rate is the background
@@ -89,25 +86,7 @@ benchClusterConfig(sim::CostParams costs)
         cfg.contention.backgroundUtilization = *u;
         cfg.contention.enabled = *u > 0.0;
     }
-    if (const auto g = envNumber("CXLFORK_SERVICE_GBS", 1e-3, 1e4)) {
-        cfg.contention.serviceReadGBs = *g;
-        cfg.contention.serviceWriteGBs = 0.8 * *g;
-    }
     return cfg;
-}
-
-bool
-prefetchEnabled()
-{
-    const char *env = std::getenv("CXLFORK_PREFETCH");
-    return env && std::string(env) != "0";
-}
-
-unsigned
-predictorWindow()
-{
-    return envNumber<unsigned>("CXLFORK_PREDICTOR_WINDOW", 1, 1000)
-        .value_or(3);
 }
 
 rfork::PrefetchSchedule
@@ -123,7 +102,9 @@ trainSchedule(porter::Cluster &cluster, rfork::RemoteForkMechanism &mech,
     // faulting, leaving nothing to train on.
     rfork::RestoreOptions lazyOpts;
     lazyOpts.prefetchDirty = false;
-    for (unsigned i = 0; i < predictorWindow(); ++i) {
+    // Traced training invocations per predictor.
+    constexpr unsigned kWindow = 3;
+    for (unsigned i = 0; i < kWindow; ++i) {
         auto task = mech.restore(handle, node, lazyOpts);
         auto child = FunctionInstance::adoptRestored(node, spec, task);
         recorder.clear();
@@ -301,6 +282,36 @@ exitOnFatal()
 
 const std::terminate_handler g_prevTerminate =
     std::set_terminate(exitOnFatal);
+
+/// Every CXLFORK_* variable a bench reads; README.md's knob table
+/// documents each one.
+constexpr std::string_view kKnobs[] = {
+    "CXLFORK_TRACE",          "CXLFORK_TRACE_JSON",
+    "CXLFORK_METRICS_JSON",   "CXLFORK_WALLCLOCK_JSON",
+    "CXLFORK_JOBS",           "CXLFORK_CXL_LATENCY_NS",
+    "CXLFORK_RAS_REPLICAS",   "CXLFORK_COHERENCE_MODE",
+    "CXLFORK_COMPRESS",       "CXLFORK_PARTITION_RATE",
+    "CXLFORK_CONTENTION_RATE",
+};
+
+/// Before main(): a CXLFORK_* variable that is not a knob (a retired
+/// one, a typo) exits 1 naming it instead of being silently ignored.
+[[maybe_unused]] const bool g_knobsChecked = [] {
+    for (char **env = environ; *env; ++env) {
+        const std::string_view var(*env);
+        const std::string_view name = var.substr(0, var.find('='));
+        if (name.starts_with("CXLFORK_") &&
+            std::find(std::begin(kKnobs), std::end(kKnobs), name) ==
+                std::end(kKnobs)) {
+            std::fprintf(stderr,
+                         "fatal: %.*s is not a bench knob (README.md "
+                         "lists them)\n",
+                         int(name.size()), name.data());
+            std::_Exit(1);
+        }
+    }
+    return true;
+}();
 
 /**
  * When a runSweep worker is executing a point, this points at the

@@ -85,7 +85,7 @@ Machine::cxlTransaction(sim::SimClock &clock, const char *site,
     // backoff, optional seeded jitter, optional per-op time budget.
     // With jitter and budget at their zero defaults the schedule draws
     // nothing extra and charges the exact pre-policy delay sequence.
-    sim::BackoffSchedule sched(injector_.config().retryPolicy());
+    sim::BackoffSchedule sched(injector_.config().retry);
     while (injector_.drawTransient()) {
         const std::optional<sim::SimTime> delay =
             sched.next(&injector_.backoffRng());
@@ -97,12 +97,12 @@ Machine::cxlTransaction(sim::SimClock &clock, const char *site,
                     "CXL transaction at %s failed %u times; op budget "
                     "%s exhausted after %s of backoff",
                     site, sched.retries() + 1,
-                    injector_.config().opBudget.toString().c_str(),
+                    injector_.config().retry.budget.toString().c_str(),
                     sched.spent().toString().c_str()));
             }
             throw sim::TransientFaultError(sim::format(
                 "CXL transaction at %s failed %u times (budget %u)", site,
-                sched.retries() + 1, injector_.config().maxRetries));
+                sched.retries() + 1, injector_.config().retry.maxRetries));
         }
         // Retry after backoff, in simulated time; the next draw decides
         // whether the retry itself fails.

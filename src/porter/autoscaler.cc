@@ -321,10 +321,10 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
     }
     bool viaGhost = viaRestore && fn.ghostsAvailable > 0;
     if (viaRestore && cfg_.faults.transientRestoreRate > 0.0) {
-        SimTime backoff = cfg_.faults.restoreRetryBackoff;
-        uint32_t attempt = 0;
+        sim::BackoffSchedule sched(PorterFaults::kRestoreRetry);
         while (faultRng_.chance(cfg_.faults.transientRestoreRate)) {
-            if (attempt >= cfg_.faults.maxRestoreRetries) {
+            const std::optional<SimTime> delay = sched.next();
+            if (!delay) {
                 // Budget spent; the checkpoint itself is intact, so
                 // only this request falls back to a cold start.
                 ++metrics_.degradedColdStarts;
@@ -333,11 +333,9 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
                 viaGhost = false;
                 break;
             }
-            ++attempt;
             ++metrics_.restoreRetries;
             note("restore_retry", 0);
-            retryTime += backoff;
-            backoff = backoff * cfg_.faults.retryBackoffMultiplier;
+            retryTime += *delay;
         }
     }
 

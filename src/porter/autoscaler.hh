@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "perf_model.hh"
+#include "sim/backoff.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -49,9 +50,10 @@ struct PorterFaults
     sim::SimTime nodeRecovery = sim::SimTime::sec(30);
     double corruptRestoreRate = 0.0;  ///< P(restore finds image torn).
     double transientRestoreRate = 0.0;///< P(restore attempt transient).
-    uint32_t maxRestoreRetries = 2;
-    sim::SimTime restoreRetryBackoff = sim::SimTime::ms(1);
-    double retryBackoffMultiplier = 2.0;
+
+    /** How a transient restore retries before degrading to cold start. */
+    static constexpr sim::BackoffPolicy kRestoreRetry{
+        /*maxRetries=*/2, /*base=*/sim::SimTime::ms(1), /*multiplier=*/2.0};
 
     bool anyEnabled() const
     {

@@ -52,16 +52,14 @@ FailoverOutcome
 restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
                     const std::shared_ptr<rfork::CheckpointHandle> &handle,
                     const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts,
-                    const rfork::RestoreRetryPolicy &policy)
+                    const rfork::RestoreOptions &opts)
 {
     FailoverOutcome out;
     sim::MetricsRegistry &m = cluster.machine().metrics();
     for (size_t i = 0; i < targets.size(); ++i) {
         os::NodeOs &target = cluster.node(targets[i]);
         const sim::SimTime before = target.clock().now();
-        rfork::RestoreOutcome attempt =
-            mech.tryRestore(handle, target, opts, policy);
+        rfork::RestoreOutcome attempt = mech.tryRestore(handle, target, opts);
         out.latency += target.clock().now() - before;
         out.outcome = std::move(attempt);
         if (out.outcome) {
@@ -266,8 +264,8 @@ struct Engine
             fc.seed = c.seed ^ 0x0bad'cab1'e0ddULL;
             fc.framePoisonRate = c.poisonRate;
             fc.cxlTransientRate = c.transientRate;
-            fc.maxRetries = 4;
-            fc.backoffJitter = 0.25; // exercise the seeded-jitter path
+            fc.retry.maxRetries = 4;
+            fc.retry.jitter = 0.25; // exercise the seeded-jitter path
             cluster.machine().setFaultConfig(fc);
         }
         if (c.linkLayer())

@@ -96,8 +96,7 @@ FailoverOutcome
 restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
                     const std::shared_ptr<rfork::CheckpointHandle> &handle,
                     const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts = {},
-                    const rfork::RestoreRetryPolicy &policy = {});
+                    const rfork::RestoreOptions &opts = {});
 
 /**
  * One soak campaign. The defaults are the weather-free crash-site

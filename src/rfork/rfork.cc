@@ -1,5 +1,6 @@
 #include "rfork.hh"
 
+#include "sim/backoff.hh"
 #include "sim/error.hh"
 #include "sim/log.hh"
 
@@ -144,11 +145,33 @@ RemoteForkMechanism::checkpointPublished(
     return out;
 }
 
+namespace {
+
+/**
+ * The transient rung: a restore that failed on a transient fault is
+ * re-run on the same node. Its retry bound counts every re-attempt of
+ * the call, partition retries included, while its delay grows only
+ * with its own grants.
+ */
+constexpr sim::BackoffPolicy kTransientRetry{
+    /*maxRetries=*/2, /*base=*/sim::SimTime::us(50), /*multiplier=*/2.0};
+
+/**
+ * The partition rung: a flapped link may heal between attempts, so a
+ * partitioned restore is re-run within both a retry count and a time
+ * budget. Exhaustion hands the outcome to the caller's next rungs
+ * (failover to a warm node, then a cold start).
+ */
+constexpr sim::BackoffPolicy kPartitionRetry{
+    /*maxRetries=*/3, /*base=*/sim::SimTime::us(100), /*multiplier=*/2.0,
+    /*jitter=*/0.0, /*budget=*/sim::SimTime::us(5000)};
+
+} // namespace
+
 RestoreOutcome
 RemoteForkMechanism::tryRestore(
     const std::shared_ptr<CheckpointHandle> &handle, os::NodeOs &target,
-    const RestoreOptions &opts, const RestoreRetryPolicy &policy,
-    RestoreStats *stats)
+    const RestoreOptions &opts, RestoreStats *stats)
 {
     RestoreOutcome out;
     if (!handle) {
@@ -157,9 +180,9 @@ RemoteForkMechanism::tryRestore(
         return out;
     }
 
-    sim::SimTime backoff = policy.backoff;
-    sim::BackoffSchedule partitionSched(policy.partition);
-    for (uint32_t attempt = 0;; ++attempt) {
+    sim::BackoffSchedule transientSched(kTransientRetry);
+    sim::BackoffSchedule partitionSched(kPartitionRetry);
+    for (;;) {
         try {
             // Fetching the handle's journal record is itself a fabric
             // read, so with a link stage installed every attempt is
@@ -176,36 +199,23 @@ RemoteForkMechanism::tryRestore(
             out.error = restoreErrorOf(e);
             out.message = e.what();
             out.origin = e.origin();
+            // Only transients and partitions are worth re-running the
+            // same restore on the same node; everything else needs a
+            // different checkpoint or a different node, which is the
+            // caller's (e.g. the autoscaler's) decision.
+            std::optional<sim::SimTime> delay;
             if (out.error == RestoreError::FabricPartition) {
-                // The partition rung: a flapped link may heal, so the
-                // restore is re-attempted on the partition backoff
-                // schedule (count- and budget-bounded). Exhaustion
-                // hands the typed outcome to the caller's next rungs
-                // (failover to a warm node, then cold start).
-                const std::optional<sim::SimTime> delay =
-                    partitionSched.next(
-                        &target.machine().faults().backoffRng());
-                if (!delay)
-                    return out;
-                target.clock().advance(*delay);
-                ++out.retries;
-                CXLF_DEBUG("%s: restore partitioned (%s), retry %u "
-                           "after backoff",
-                           name(), e.what(), partitionSched.retries());
-                continue;
+                delay = partitionSched.next();
+            } else if (out.error == RestoreError::TransientFault &&
+                       out.retries < kTransientRetry.maxRetries) {
+                delay = transientSched.next();
             }
-            // Only transients are worth re-running the same restore on
-            // the same node; everything else needs a different
-            // checkpoint or a different node, which is the caller's
-            // (e.g. the autoscaler's) decision.
-            if (out.error != RestoreError::TransientFault ||
-                attempt >= policy.maxRetries)
+            if (!delay)
                 return out;
-            target.clock().advance(backoff);
-            backoff = backoff * policy.backoffMultiplier;
+            target.clock().advance(*delay);
             ++out.retries;
             CXLF_DEBUG("%s: restore attempt %u failed (%s), retrying",
-                       name(), attempt + 1, e.what());
+                       name(), out.retries, e.what());
         }
     }
 }

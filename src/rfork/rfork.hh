@@ -18,7 +18,6 @@
 #include "cxl/object_store.hh"
 #include "mem/types.hh"
 #include "os/kernel.hh"
-#include "sim/backoff.hh"
 #include "sim/error.hh"
 #include "sim/time.hh"
 
@@ -201,27 +200,6 @@ const char *restoreErrorName(RestoreError e);
 /** The RestoreError tryRestore() reports for a thrown SimError. */
 RestoreError restoreErrorOf(const sim::SimError &e);
 
-/** How tryRestore() retries transient failures, in simulated time. */
-struct RestoreRetryPolicy
-{
-    uint32_t maxRetries = 2;              ///< Whole-restore re-attempts.
-    sim::SimTime backoff = sim::SimTime::us(50);
-    double backoffMultiplier = 2.0;
-
-    /**
-     * The partition rung's retry budget: a restore that failed with
-     * FabricPartition is re-attempted on this schedule (a flapped link
-     * may heal between attempts), bounded by both the retry count and
-     * the time budget. Exhaustion returns the partition outcome to the
-     * caller, whose next rungs are failover to a warm node or a cold
-     * start. maxRetries 0 disables partition retries entirely.
-     */
-    sim::BackoffPolicy partition{
-        /*maxRetries=*/3, /*base=*/sim::SimTime::us(100),
-        /*multiplier=*/2.0, /*jitter=*/0.0,
-        /*budget=*/sim::SimTime::us(5000)};
-};
-
 /** Result of a fallible restore: a task, or a typed error. */
 struct RestoreOutcome
 {
@@ -269,14 +247,15 @@ class RemoteForkMechanism
      * Fallible restore: runs restore(), converts typed sim faults into
      * a RestoreOutcome instead of letting them unwind the caller, and
      * re-attempts the whole restore after a (simulated-time) backoff
-     * when the failure was transient. Restores are exception-safe, so a
-     * failed attempt leaves the target node clean and a retry starts
-     * from scratch.
+     * when the failure was transient or a partition. Restores are
+     * exception-safe, so a failed attempt leaves the target node clean
+     * and a retry starts from scratch. Both retry ladders are fixed
+     * sim::BackoffPolicy constants in rfork.cc (DESIGN.md, failure
+     * model).
      */
     RestoreOutcome
     tryRestore(const std::shared_ptr<CheckpointHandle> &handle,
                os::NodeOs &target, const RestoreOptions &opts = {},
-               const RestoreRetryPolicy &policy = {},
                RestoreStats *stats = nullptr);
 
     /**

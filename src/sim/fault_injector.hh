@@ -52,43 +52,19 @@ struct FaultConfig
      *  link (latency multiplied until healed). */
     double linkDegradeRate = 0.0;
 
-    // --- Recovery budget for transient faults.
-    uint32_t maxRetries = 3;          ///< Bounded retry budget.
-    SimTime retryBackoff = SimTime::us(10); ///< First-retry backoff.
-    double backoffMultiplier = 2.0;   ///< Exponential backoff factor.
-
     /**
-     * Deterministic seeded jitter fraction for retry backoff, in
-     * [0, 1]. Zero (the default) draws nothing and keeps the schedule
-     * bit-identical to the un-jittered exponential curve.
+     * How a CXL transaction retries transient faults: bounded attempts
+     * on an exponential curve, with optional seeded jitter and per-op
+     * time budget (both zero by default, so the schedule draws nothing
+     * and charges the plain exponential delays).
      */
-    double backoffJitter = 0.0;
-
-    /**
-     * Per-op time budget for one transaction's accumulated backoff;
-     * once exceeded the transaction escalates with its original typed
-     * error even if retries remain. Zero means unlimited.
-     */
-    SimTime opBudget = SimTime::zero();
+    BackoffPolicy retry;
 
     bool
     anyEnabled() const
     {
         return cxlTransientRate > 0.0 || framePoisonRate > 0.0 ||
                tornWriteRate > 0.0;
-    }
-
-    /** The retry knobs, as the generic policy cxlTransaction runs. */
-    BackoffPolicy
-    retryPolicy() const
-    {
-        BackoffPolicy p;
-        p.maxRetries = maxRetries;
-        p.base = retryBackoff;
-        p.multiplier = backoffMultiplier;
-        p.jitter = backoffJitter;
-        p.budget = opBudget;
-        return p;
     }
 };
 
@@ -258,20 +234,10 @@ class FaultInjector
     /** A recovery pass finished: orphans reclaimed / completed. */
     void noteRecovery(uint64_t reclaimed, uint64_t completed);
 
-    /** Backoff before retry number `attempt` (1-based), in sim time. */
-    SimTime
-    backoffFor(uint32_t attempt) const
-    {
-        SimTime b = cfg_.retryBackoff;
-        for (uint32_t i = 1; i < attempt; ++i)
-            b *= cfg_.backoffMultiplier;
-        return b;
-    }
-
     /**
      * The seeded jitter stream for backoff schedules. Like the fault
      * streams it is salted off the config seed and reset by setConfig,
-     * and it is only ever drawn when backoffJitter is nonzero — so a
+     * and it is only ever drawn when retry.jitter is nonzero — so a
      * jitter-free run is bit-identical to one without the stream.
      */
     Rng &backoffRng() { return backoffRng_; }

@@ -89,17 +89,6 @@ TEST(FaultInjector, DisarmedDrawsNothing)
     EXPECT_EQ(inj.stats().transientsInjected, 0u);
 }
 
-TEST(FaultInjector, BackoffGrowsExponentially)
-{
-    sim::FaultConfig cfg;
-    cfg.retryBackoff = SimTime::us(10);
-    cfg.backoffMultiplier = 2.0;
-    sim::FaultInjector inj(cfg);
-    EXPECT_EQ(inj.backoffFor(1), SimTime::us(10));
-    EXPECT_EQ(inj.backoffFor(2), SimTime::us(20));
-    EXPECT_EQ(inj.backoffFor(3), SimTime::us(40));
-}
-
 TEST(FaultInjector, CrashSitesNeverPerturbBernoulliStreams)
 {
     // Crash-site counting/arming must not consume a single draw from
@@ -153,7 +142,7 @@ TEST(FaultInjector, StatsMirrorIntoAttachedMachineRegistry)
     mem::MachineConfig mcfg;
     mcfg.faults.seed = 11;
     mcfg.faults.cxlTransientRate = 0.5;
-    mcfg.faults.maxRetries = 8;
+    mcfg.faults.retry.maxRetries = 8;
     mem::Machine machine{mcfg};
     sim::SimClock clock;
     for (int i = 0; i < 64; ++i)
@@ -329,8 +318,8 @@ class MachineFaultTest : public ::testing::Test
         mem::MachineConfig cfg = test::smallConfig();
         cfg.faults.seed = 1234;
         cfg.faults.cxlTransientRate = transientRate;
-        cfg.faults.maxRetries = maxRetries;
-        cfg.faults.retryBackoff = SimTime::us(10);
+        cfg.faults.retry.maxRetries = maxRetries;
+        cfg.faults.retry.base = SimTime::us(10);
         return cfg;
     }
 };
@@ -424,18 +413,25 @@ TEST(CapacityFaults, ExhaustedSharedFsWriteKeepsOldFile)
 
 // --- Checkpoint-image integrity.
 
+/** A 16-page parent on node 0 of `w`, page i holding token i + 1. */
+std::shared_ptr<os::Task>
+makeParent(World &w, mem::VirtAddr &heapStart)
+{
+    auto parent = w.node(0).createTask("fn");
+    os::Vma &heap = w.node(0).mapAnon(*parent, 16 * kPageSize,
+                                      os::kVmaRead | os::kVmaWrite, "h");
+    heapStart = heap.start;
+    for (uint64_t i = 0; i < 16; ++i)
+        w.node(0).write(*parent, heapStart.plus(i * kPageSize), i + 1);
+    return parent;
+}
+
 class ImageIntegrityTest : public ::testing::Test
 {
   protected:
     ImageIntegrityTest() : world(test::smallConfig())
     {
-        parent = world.node(0).createTask("fn");
-        os::Vma &heap = world.node(0).mapAnon(
-            *parent, 16 * kPageSize, os::kVmaRead | os::kVmaWrite, "h");
-        heapStart = heap.start;
-        for (uint64_t i = 0; i < 16; ++i)
-            world.node(0).write(*parent, heapStart.plus(i * kPageSize),
-                                i + 1);
+        parent = makeParent(world, heapStart);
     }
 
     World world;
@@ -541,7 +537,7 @@ TEST_F(ImageIntegrityTest, TransientRestoreRetriesThenSucceeds)
     // handle restores fine (failed attempts left node 1 clean).
     sim::FaultConfig faults;
     faults.cxlTransientRate = 1.0;
-    faults.maxRetries = 2;
+    faults.retry.maxRetries = 2;
     world.machine->setFaultConfig(faults);
     const auto failed = fork.tryRestore(handle, world.node(1));
     EXPECT_FALSE(failed);
@@ -556,12 +552,47 @@ TEST_F(ImageIntegrityTest, TransientRestoreRetriesThenSucceeds)
     EXPECT_EQ(world.node(1).read(*ok.task, heapStart), 1u);
 }
 
+TEST_F(ImageIntegrityTest, TransientLadderChargesFixedBackoff)
+{
+    // Twin worlds, identical up to the restore: the twin times one
+    // failed plain restore(), the fixture's world runs tryRestore on a
+    // device where every CXL transaction fails.
+    World twin(test::smallConfig());
+    mem::VirtAddr twinHeap;
+    auto twinParent = makeParent(twin, twinHeap);
+    rfork::CxlFork fork(*world.fabric);
+    rfork::CxlFork twinFork(*twin.fabric);
+    auto handle = fork.checkpoint(world.node(0), *parent);
+    auto twinHandle = twinFork.checkpoint(twin.node(0), *twinParent);
+    sim::FaultConfig faults;
+    faults.cxlTransientRate = 1.0;
+    world.machine->setFaultConfig(faults);
+    twin.machine->setFaultConfig(faults);
+
+    const SimTime twinBefore = twin.node(1).clock().now();
+    EXPECT_THROW(twinFork.restore(twinHandle, twin.node(1)),
+                 sim::TransientFaultError);
+    const SimTime oneAttempt = twin.node(1).clock().now() - twinBefore;
+    ASSERT_GT(oneAttempt, SimTime::zero());
+
+    const SimTime before = world.node(1).clock().now();
+    const auto outcome = fork.tryRestore(handle, world.node(1));
+    EXPECT_EQ(outcome.error, rfork::RestoreError::TransientFault);
+    EXPECT_EQ(outcome.retries, 2u);
+    // Three attempts, with a 50 us then a 100 us backoff between them
+    // (equal up to the rounding of summing each attempt's charges at a
+    // later clock reading).
+    EXPECT_DOUBLE_EQ(
+        (world.node(1).clock().now() - before).toNs(),
+        (oneAttempt * 3.0 + SimTime::us(50) + SimTime::us(100)).toNs());
+}
+
 TEST_F(ImageIntegrityTest, RetriesChargeSimulatedTime)
 {
     World faulty = World([] {
         mem::MachineConfig cfg = test::smallConfig();
         cfg.faults.cxlTransientRate = 0.2;
-        cfg.faults.maxRetries = 16;
+        cfg.faults.retry.maxRetries = 16;
         cfg.faults.seed = 5;
         return cfg;
     }());

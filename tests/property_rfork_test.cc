@@ -365,9 +365,9 @@ TEST(PublishFaultProperty, TransientAtPublishStepIsCrashConsistent)
 
     sim::FaultConfig fc;
     fc.cxlTransientRate = 0.04;
-    fc.maxRetries = 0; // first injected transient escalates
+    fc.retry.maxRetries = 0; // first injected transient escalates
 
-    // With maxRetries == 0 each transaction consumes exactly one draw
+    // With retry.maxRetries == 0 each transaction consumes exactly one draw
     // from the transient stream, so the standalone injector predicts
     // which transaction a seed escalates at. Find one seed that fires
     // exactly on the publish write and one that spares the whole call.

@@ -111,9 +111,9 @@ TEST(CxlTransactionBackoff, BudgetExhaustionRaisesOriginalTypedError)
 {
     test::World w(test::smallConfig());
     sim::FaultConfig cfg = alwaysFailing();
-    cfg.maxRetries = 100;
-    cfg.retryBackoff = SimTime::us(10);
-    cfg.opBudget = SimTime::us(65);
+    cfg.retry.maxRetries = 100;
+    cfg.retry.base = SimTime::us(10);
+    cfg.retry.budget = SimTime::us(65);
     w.machine->setFaultConfig(cfg);
     sim::SimClock clock;
     try {
@@ -135,7 +135,7 @@ TEST(CxlTransactionBackoff, RetryExhaustionKeepsLegacyMessage)
 {
     test::World w(test::smallConfig());
     sim::FaultConfig cfg = alwaysFailing();
-    cfg.maxRetries = 3;
+    cfg.retry.maxRetries = 3;
     w.machine->setFaultConfig(cfg);
     sim::SimClock clock;
     try {
@@ -155,8 +155,8 @@ TEST(CxlTransactionBackoff, JitteredScheduleReplaysUnderFixedSeed)
         test::World w(test::smallConfig());
         sim::FaultConfig cfg = alwaysFailing();
         cfg.seed = seed;
-        cfg.maxRetries = 6;
-        cfg.backoffJitter = 0.5;
+        cfg.retry.maxRetries = 6;
+        cfg.retry.jitter = 0.5;
         w.machine->setFaultConfig(cfg);
         sim::SimClock clock;
         EXPECT_THROW(w.machine->cxlTransaction(clock, "test-op"),
@@ -192,7 +192,7 @@ TEST(CxlTransactionBackoff, RecoverableRunRetriesThenSucceeds)
     sim::FaultConfig cfg;
     cfg.seed = 4242;
     cfg.cxlTransientRate = 0.4;
-    cfg.maxRetries = 8;
+    cfg.retry.maxRetries = 8;
     w.machine->setFaultConfig(cfg);
     sim::SimClock clock;
     for (int i = 0; i < 300; ++i)
