@@ -9,9 +9,13 @@
 
 #include "bench_util.hh"
 #include "cxl/page_store.hh"
+#include "faas/workloads.hh"
+#include "porter/autoscaler.hh"
+#include "porter/trace.hh"
 #include "proto/messages.hh"
 #include "rfork/cxlfork.hh"
 #include "sim/crc32.hh"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -425,6 +429,79 @@ BM_PageStoreRelease(benchmark::State &state)
 BENCHMARK(BM_PageStoreRelease)->Iterations(1 << 20);
 
 /**
+ * One push and one pop on an event heap holding 1024 pending records,
+ * about the depth a porter replay's heap reaches under burst.
+ */
+void
+BM_EventHeapPushPop(benchmark::State &state)
+{
+    enum class Kind : uint8_t { Tick };
+    sim::EventQueue<Kind> q;
+    sim::Rng rng(5);
+    std::vector<sim::SimTime> gaps(4096);
+    for (sim::SimTime &g : gaps)
+        g = sim::SimTime::us(rng.uniform(0, 1000));
+    for (uint32_t i = 0; i < 1024; ++i)
+        q.schedule(gaps[i], Kind::Tick, i);
+    size_t i = 0;
+    for (auto _ : state) {
+        const auto ev = q.pop();
+        q.schedule(ev.when + gaps[i++ & 4095], ev.kind, ev.id);
+    }
+}
+BENCHMARK(BM_EventHeapPushPop);
+
+/**
+ * Replaying one seeded 150-RPS, 60 s trace over the Table-1 functions
+ * on porter_trace's cluster (2 nodes, 32 cores, 25 % memory). The
+ * profiles are measured before the timed loop; an iteration replays
+ * the whole trace, and the "requests" counter turns ns/op into ns per
+ * request in the wall-clock report.
+ */
+void
+BM_PorterReplay(benchmark::State &state, porter::Mechanism mech)
+{
+    static const auto setup = [] {
+        struct Setup
+        {
+            std::vector<faas::FunctionSpec> functions;
+            std::vector<porter::Request> trace;
+            porter::PerfModel perf;
+        };
+        auto s = std::make_unique<Setup>();
+        std::vector<std::string> names;
+        for (const faas::WorkloadEntry &w : faas::table1Workloads()) {
+            s->functions.push_back(w.spec);
+            names.push_back(w.spec.name);
+        }
+        porter::TraceConfig tc;
+        tc.totalRps = 150.0;
+        tc.duration = sim::SimTime::sec(60);
+        tc.seed = 0x7ace;
+        s->trace = porter::TraceGenerator(names, tc).generate();
+        return s;
+    }();
+    porter::PorterConfig cfg;
+    cfg.mechanism = mech;
+    cfg.memPerNodeBytes = mem::gib(8);
+    cfg.memoryScale = 0.25;
+    cfg.coresPerNode = 32;
+    // Warm the profiles this variant asks for.
+    porter::PorterSim(cfg, setup->functions, setup->perf).run(setup->trace);
+    for (auto _ : state) {
+        porter::PorterSim sim(cfg, setup->functions, setup->perf);
+        benchmark::DoNotOptimize(sim.run(setup->trace));
+    }
+    state.counters["requests"] = double(setup->trace.size());
+}
+BENCHMARK_CAPTURE(BM_PorterReplay, criu, porter::Mechanism::CriuCxl)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PorterReplay, mitosis, porter::Mechanism::MitosisCxl)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PorterReplay, cxlfork, porter::Mechanism::CxlFork)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * Console reporting plus one ns/op line per benchmark into
  * $CXLFORK_WALLCLOCK_JSON (the perfcmp input), alongside the whole-
  * bench wall-clock entries the macro benches emit via finishBench().
@@ -439,9 +516,15 @@ class WallClockReporter : public benchmark::ConsoleReporter
         for (const Run &run : runs) {
             if (run.error_occurred || run.iterations == 0)
                 continue;
+            // A benchmark whose iteration covers many operations says
+            // how many in its "requests" counter.
+            double opsPerIter = 1.0;
+            const auto ops = run.counters.find("requests");
+            if (ops != run.counters.end() && ops->second.value > 0)
+                opsPerIter = ops->second.value;
             bench::appendWallClock("micro." + run.benchmark_name(),
                                    run.real_accumulated_time * 1e9 /
-                                       double(run.iterations),
+                                       double(run.iterations) / opsPerIter,
                                    "ns/op");
         }
     }

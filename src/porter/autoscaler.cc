@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <unordered_map>
 
 #include "sim/log.hh"
 
@@ -12,6 +14,24 @@ using sim::SimTime;
 namespace {
 
 constexpr uint64_t kShellBytes = 512ull << 10; // bare container shell
+constexpr size_t kPolicies = 3; // os::TieringPolicy values
+
+/** Insert into / erase from an ascending vector (small idle sets). */
+template <typename T>
+void
+sortedInsert(std::vector<T> &v, const T &x)
+{
+    v.insert(std::upper_bound(v.begin(), v.end(), x), x);
+}
+
+template <typename T>
+void
+sortedErase(std::vector<T> &v, const T &x)
+{
+    const auto it = std::lower_bound(v.begin(), v.end(), x);
+    CXLF_ASSERT(it != v.end() && *it == x);
+    v.erase(it);
+}
 
 /**
  * Functions whose specs agree on everything that determines page
@@ -63,6 +83,8 @@ PorterSim::PorterSim(PorterConfig cfg,
             f.ghostsAvailable = cfg_.ghostsPerFunction;
         f.contentGroup = contentKey(functions_[i]);
     }
+    profiles_.assign(functions_.size() * kPolicies, nullptr);
+    idleByFn_.resize(functions_.size() * nodes_.size());
 }
 
 void
@@ -91,7 +113,13 @@ PorterSim::profileFor(uint32_t fnIdx, os::TieringPolicy policy)
     // behaviour each.
     if (cfg_.mechanism != Mechanism::CxlFork)
         policy = os::TieringPolicy::MigrateOnAccess;
-    return perf_.profile(functions_[fnIdx], cfg_.mechanism, policy);
+    // PerfModel keeps its profiles in a std::map, so the references
+    // cached here stay valid.
+    const PerfProfile *&slot =
+        profiles_[size_t(fnIdx) * kPolicies + size_t(policy)];
+    if (!slot)
+        slot = &perf_.profile(functions_[fnIdx], cfg_.mechanism, policy);
+    return *slot;
 }
 
 double
@@ -118,39 +146,121 @@ PorterSim::run(const std::vector<Request> &trace)
 {
     metrics_ = PorterMetrics{};
     metrics_.requests = trace.size();
+    if (trace.size() > UINT32_MAX)
+        sim::fatal("a trace holds at most 2^32 - 1 requests");
 
-    for (const Request &req : trace)
-        events_.schedule(req.arrival, [this, req] { arrive(req); });
-    if (!trace.empty()) {
-        events_.schedule(trace.front().arrival + cfg_.controllerPeriod,
-                         [this] { controllerTick(); });
+    // Resolve every request's function once.
+    std::unordered_map<std::string_view, uint32_t> fnByName;
+    for (uint32_t i = 0; i < functions_.size(); ++i)
+        fnByName.emplace(functions_[i].name, i);
+    trace_ = &trace;
+    reqFn_.resize(trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const auto it = fnByName.find(trace[i].function);
+        if (it == fnByName.end()) {
+            sim::fatal("trace request %zu names unknown function '%s'", i,
+                       trace[i].function.c_str());
+        }
+        reqFn_[i] = it->second;
     }
-    scheduleCrashes(trace);
-    events_.run();
+
+    // Arrivals come from a cursor in (arrival, trace position) order:
+    // the order in which scheduling every arrival up front, in trace
+    // order, would dispatch them.
+    const auto earlier = [](const Request &a, const Request &b) {
+        return a.arrival < b.arrival;
+    };
+    arrivalOrder_.clear();
+    if (!std::is_sorted(trace.begin(), trace.end(), earlier)) {
+        arrivalOrder_.resize(trace.size());
+        std::iota(arrivalOrder_.begin(), arrivalOrder_.end(), 0u);
+        std::stable_sort(arrivalOrder_.begin(), arrivalOrder_.end(),
+                         [&](uint32_t a, uint32_t b) {
+                             return earlier(trace[a], trace[b]);
+                         });
+    }
+    const auto arrivalAt = [&](size_t pos) {
+        return arrivalOrder_.empty() ? uint32_t(pos) : arrivalOrder_[pos];
+    };
+    nextArrival_ = 0;
+
+    SimTime begin;
+    if (!trace.empty()) {
+        begin = arrivalOf(arrivalAt(0));
+        events_.schedule(begin + cfg_.controllerPeriod,
+                         EventKind::ControllerTick);
+        scheduleCrashes(begin, arrivalOf(arrivalAt(trace.size() - 1)));
+    }
+    for (FnState &fn : fnStates_)
+        fn.latency.clear();
+
+    // Merge the arrival cursor with the event heap. Every scheduled
+    // record was scheduled after all arrivals would have been, so an
+    // arrival runs before any record at the same time.
+    for (;;) {
+        if (nextArrival_ < trace.size()) {
+            const uint32_t req = arrivalAt(nextArrival_);
+            if (events_.empty() || !(events_.top().when < arrivalOf(req))) {
+                ++nextArrival_;
+                events_.advanceTo(arrivalOf(req));
+                dispatch(req);
+                continue;
+            }
+        }
+        if (!events_.step([this](const auto &ev) { handle(ev); }))
+            break;
+    }
 
     if (!trace.empty()) {
-        const double span =
-            (events_.now() - trace.front().arrival).toSec();
+        const double span = (events_.now() - begin).toSec();
         if (span > 0)
             metrics_.completedRps = double(metrics_.requests) / span;
     }
     for (const NodeState &n : nodes_)
         metrics_.peakMemBytes = std::max(metrics_.peakMemBytes, n.memUsed);
+    for (size_t i = 0; i < fnStates_.size(); ++i) {
+        if (fnStates_[i].latency.count() > 0) {
+            metrics_.perFunction.emplace(functions_[i].name,
+                                         std::move(fnStates_[i].latency));
+        }
+    }
+    trace_ = nullptr;
     return metrics_;
 }
 
 void
-PorterSim::scheduleCrashes(const std::vector<Request> &trace)
+PorterSim::handle(const EventQueue::Event &ev)
 {
-    if (!(cfg_.faults.nodeMtbf > SimTime::zero()) || trace.empty())
+    switch (ev.kind) {
+      case EventKind::Complete:
+        complete(ev.id, ev.arg);
+        break;
+      case EventKind::EvictionCheck:
+        checkEviction(ev.id, ev.arg);
+        break;
+      case EventKind::GhostRefill:
+        ++fnStates_[ev.arg].ghostsAvailable;
+        break;
+      case EventKind::ControllerTick:
+        controllerTick();
+        break;
+      case EventKind::Crash:
+        crashNode(ev.arg);
+        break;
+      case EventKind::Recover:
+        recoverNode(ev.arg);
+        break;
+    }
+}
+
+void
+PorterSim::scheduleCrashes(SimTime begin, SimTime horizon)
+{
+    if (!(cfg_.faults.nodeMtbf > SimTime::zero()))
         return;
     // Crash/recovery events are bounded by the trace horizon so the
     // event queue always drains; crashes after the last arrival would
     // only delay completions nobody measures.
-    const SimTime begin = trace.front().arrival;
-    SimTime horizon = begin;
-    for (const Request &req : trace)
-        horizon = std::max(horizon, req.arrival);
     auto expDraw = [&] {
         // Exponential inter-crash gap; clamp the tail draw so a
         // pathological uniform() == 0 cannot stall the schedule.
@@ -160,9 +270,9 @@ PorterSim::scheduleCrashes(const std::vector<Request> &trace)
     for (uint32_t i = 0; i < nodes_.size(); ++i) {
         SimTime t = begin + expDraw();
         while (t < horizon) {
-            events_.schedule(t, [this, i] { crashNode(i); });
+            events_.schedule(t, EventKind::Crash, 0, i);
             const SimTime rec = t + cfg_.faults.nodeRecovery;
-            events_.schedule(rec, [this, i] { recoverNode(i); });
+            events_.schedule(rec, EventKind::Recover, 0, i);
             t = rec + expDraw();
         }
     }
@@ -181,14 +291,16 @@ PorterSim::crashNode(uint32_t node)
     // Every container on the node dies with it. In-flight work is not
     // cancelled here: its completion event fires at the original time,
     // finds the instance gone, and fails over (detection by timeout).
-    for (auto it = instances_.begin(); it != instances_.end();) {
-        if (it->second.node == node) {
+    for (Instance &inst : instances_) {
+        if (inst.live && inst.node == node) {
             ++metrics_.lostInstances;
-            it = instances_.erase(it);
-        } else {
-            ++it;
+            inst.live = false;
         }
     }
+    for (uint32_t f = 0; f < functions_.size(); ++f)
+        idleOf(f, node).clear();
+    ns.idle.clear();
+    ns.idleBytes = 0;
     ns.memUsed = 0;
     ns.busyCores = 0;
 
@@ -196,14 +308,13 @@ PorterSim::crashNode(uint32_t node)
     std::deque<uint64_t> waiters = std::move(ns.coreQueue);
     ns.coreQueue.clear();
     for (uint64_t waiterId : waiters) {
-        auto w = coreWaiters_.find(waiterId);
-        if (w == coreWaiters_.end())
+        Instance &waiter = instances_[waiterId];
+        if (!waiter.waiting)
             continue;
-        const CoreWaiter waiter = w->second;
-        coreWaiters_.erase(w);
+        waiter.waiting = false;
         ++metrics_.restoreFailovers;
         note("failover", node);
-        dispatch(waiter.req, waiter.arrival);
+        dispatch(waiter.waitReq);
     }
 }
 
@@ -221,78 +332,90 @@ PorterSim::recoverNode(uint32_t node)
 }
 
 void
-PorterSim::arrive(const Request &req)
+PorterSim::dispatch(uint32_t req)
 {
-    dispatch(req, events_.now());
+    if (tryWarmHit(req))
+        return;
+    spawnAndRun(req);
 }
 
 void
-PorterSim::dispatch(const Request &req, SimTime arrival)
+PorterSim::markIdle(uint64_t instanceId)
 {
-    if (tryWarmHit(req, arrival))
-        return;
-    spawnAndRun(req, arrival);
+    const Instance &inst = instances_[instanceId];
+    NodeState &ns = nodes_[inst.node];
+    sortedInsert(idleOf(inst.fnIdx, inst.node), instanceId);
+    sortedInsert(ns.idle, IdleKey{inst.idleSince, instanceId});
+    ns.idleBytes += inst.memBytes;
+}
+
+void
+PorterSim::markBusy(uint64_t instanceId)
+{
+    const Instance &inst = instances_[instanceId];
+    NodeState &ns = nodes_[inst.node];
+    sortedErase(idleOf(inst.fnIdx, inst.node), instanceId);
+    sortedErase(ns.idle, IdleKey{inst.idleSince, instanceId});
+    ns.idleBytes -= inst.memBytes;
 }
 
 bool
-PorterSim::tryWarmHit(const Request &req, SimTime arrival)
+PorterSim::tryWarmHit(uint32_t req)
 {
-    const auto fnIdx = uint32_t(
-        std::find_if(functions_.begin(), functions_.end(),
-                     [&](const auto &f) { return f.name == req.function; }) -
-        functions_.begin());
-    CXLF_ASSERT(fnIdx < functions_.size());
+    const uint32_t fnIdx = reqFn_[req];
 
-    // Prefer an idle instance on a node with a free core.
+    // Prefer an idle instance on a node with a free core; among equals
+    // the lowest id (the oldest instance) wins.
     uint64_t bestId = 0;
     int bestScore = -1;
-    for (auto &[id, inst] : instances_) {
-        if (!inst.live || inst.busy || inst.fnIdx != fnIdx)
+    for (uint32_t n = 0; n < nodes_.size(); ++n) {
+        const std::vector<uint64_t> &idle = idleOf(fnIdx, n);
+        if (idle.empty())
             continue;
-        const bool coreFree =
-            nodes_[inst.node].busyCores < cfg_.coresPerNode;
-        const int score = coreFree ? 2 : 1;
-        if (score > bestScore) {
+        const int score = nodes_[n].busyCores < cfg_.coresPerNode ? 2 : 1;
+        if (score > bestScore ||
+            (score == bestScore && idle.front() < bestId)) {
             bestScore = score;
-            bestId = id;
+            bestId = idle.front();
         }
     }
     if (bestScore < 0)
         return false;
 
+    markBusy(bestId);
     Instance &inst = instances_[bestId];
     inst.busy = true;
     ++inst.generation;
     ++metrics_.warmHits;
     note("warm_hit", inst.node);
-    const SimTime dur = profileFor(fnIdx, inst.policy).warmExecLatency;
-
-    NodeState &node = nodes_[inst.node];
-    auto start = [this, bestId, req, arrival, dur] {
-        const SimTime execStart = events_.now();
-        events_.scheduleAfter(dur, [this, bestId, req, arrival, execStart] {
-            complete(bestId, req, arrival, execStart);
-        });
-    };
-    if (node.busyCores < cfg_.coresPerNode) {
-        ++node.busyCores;
-        start();
-    } else {
-        ++metrics_.queuedForCores;
-        // Reserve the instance; the core-release path starts us.
-        node.coreQueue.push_back(bestId);
-        coreWaiters_[bestId] = {req, arrival, dur};
-    }
+    startOrQueue(bestId, req,
+                 profileFor(fnIdx, inst.policy).warmExecLatency);
     return true;
 }
 
 void
-PorterSim::spawnAndRun(const Request &req, SimTime arrival)
+PorterSim::startOrQueue(uint64_t instanceId, uint32_t req, SimTime duration)
 {
-    const auto fnIdx = uint32_t(
-        std::find_if(functions_.begin(), functions_.end(),
-                     [&](const auto &f) { return f.name == req.function; }) -
-        functions_.begin());
+    Instance &inst = instances_[instanceId];
+    NodeState &ns = nodes_[inst.node];
+    if (ns.busyCores < cfg_.coresPerNode) {
+        ++ns.busyCores;
+        events_.scheduleAfter(duration, EventKind::Complete, instanceId,
+                              req);
+    } else {
+        ++metrics_.queuedForCores;
+        // Reserve the instance; the core-release path starts it.
+        ns.coreQueue.push_back(instanceId);
+        inst.waiting = true;
+        inst.waitReq = req;
+        inst.waitDuration = duration;
+    }
+}
+
+void
+PorterSim::spawnAndRun(uint32_t req)
+{
+    const uint32_t fnIdx = reqFn_[req];
     FnState &fn = fnStates_[fnIdx];
 
     // Policy for this restore: dynamic control falls back to the
@@ -357,7 +480,7 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
          !reclaimOnNode(node, memNeed))) {
         // No node can hold the instance right now; wait for memory.
         ++metrics_.queuedForMemory;
-        memQueue_.push_back({req, arrival});
+        memQueue_.push_back(req);
         return;
     }
     if (viaRestore) {
@@ -370,49 +493,31 @@ PorterSim::spawnAndRun(const Request &req, SimTime arrival)
             note("ghost_hit", node);
             // Background re-provisioning refills the pool off the
             // critical path.
-            events_.scheduleAfter(cfg_.containerCreate, [this, fnIdx] {
-                ++fnStates_[fnIdx].ghostsAvailable;
-            });
+            events_.scheduleAfter(cfg_.containerCreate,
+                                  EventKind::GhostRefill, 0, fnIdx);
         }
     } else {
         ++metrics_.coldStarts;
         note("cold_start", node);
     }
 
-    const uint64_t id = nextInstanceId_++;
-    Instance inst;
+    const uint64_t id = instances_.size();
+    Instance &inst = instances_.emplace_back();
     inst.fnIdx = fnIdx;
     inst.node = node;
     inst.busy = true;
     inst.memBytes = memNeed;
     inst.policy = policy;
-    instances_[id] = inst;
     nodes_[node].memUsed += memNeed;
     metrics_.peakMemBytes =
         std::max(metrics_.peakMemBytes, nodes_[node].memUsed);
-
-    NodeState &ns = nodes_[node];
-    if (ns.busyCores < cfg_.coresPerNode) {
-        ++ns.busyCores;
-        const SimTime execStart = events_.now();
-        events_.scheduleAfter(spawnCost,
-                              [this, id, req, arrival, execStart] {
-                                  complete(id, req, arrival, execStart);
-                              });
-    } else {
-        ++metrics_.queuedForCores;
-        ns.coreQueue.push_back(id);
-        coreWaiters_[id] = {req, arrival, spawnCost};
-    }
+    startOrQueue(id, req, spawnCost);
 }
 
 void
-PorterSim::complete(uint64_t instanceId, const Request &req,
-                    SimTime arrival, SimTime execStart)
+PorterSim::complete(uint64_t instanceId, uint32_t req)
 {
-    (void)execStart;
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end()) {
+    if (!instances_[instanceId].live) {
         // The instance's node crashed while this request was in
         // flight. The crash already zeroed that node's accounting;
         // fail the request over — re-dispatch against the surviving
@@ -420,17 +525,16 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
         // shows up in its latency.
         ++metrics_.restoreFailovers;
         note("failover", 0);
-        dispatch(req, arrival);
+        dispatch(req);
         return;
     }
-    Instance &inst = it->second;
+    Instance &inst = instances_[instanceId];
     NodeState &node = nodes_[inst.node];
 
-    const SimTime latency = events_.now() - arrival;
+    const SimTime latency = events_.now() - arrivalOf(req);
     metrics_.latency.add(latency);
-    metrics_.perFunction[req.function].add(latency);
-
     FnState &fn = fnStates_[inst.fnIdx];
+    fn.latency.add(latency);
     fn.recentLatencyMs.add(latency.toMs());
     ++fn.invocations;
     if (!fn.checkpointed &&
@@ -441,6 +545,7 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
     inst.busy = false;
     inst.idleSince = events_.now();
     ++inst.generation;
+    markIdle(instanceId);
     scheduleEviction(instanceId);
 
     // Release the core to the next waiter on this node.
@@ -449,18 +554,13 @@ PorterSim::complete(uint64_t instanceId, const Request &req,
     while (!node.coreQueue.empty()) {
         const uint64_t waiterId = node.coreQueue.front();
         node.coreQueue.pop_front();
-        auto w = coreWaiters_.find(waiterId);
-        if (w == coreWaiters_.end())
-            continue; // instance evicted meanwhile
-        const CoreWaiter waiter = w->second;
-        coreWaiters_.erase(w);
+        Instance &waiter = instances_[waiterId];
+        if (!waiter.waiting)
+            continue;
+        waiter.waiting = false;
         ++node.busyCores;
-        const SimTime start = events_.now();
-        events_.scheduleAfter(waiter.duration,
-                              [this, waiterId, waiter, start] {
-                                  complete(waiterId, waiter.req,
-                                           waiter.arrival, start);
-                              });
+        events_.scheduleAfter(waiter.waitDuration, EventKind::Complete,
+                              waiterId, waiter.waitReq);
         break;
     }
 
@@ -565,40 +665,33 @@ PorterSim::takeCheckpoint(uint32_t fnIdx, uint32_t node)
 void
 PorterSim::scheduleEviction(uint64_t instanceId)
 {
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end() || !it->second.live)
+    events_.scheduleAfter(keepAliveNow(), EventKind::EvictionCheck,
+                          instanceId, instances_[instanceId].generation);
+}
+
+void
+PorterSim::checkEviction(uint64_t instanceId, uint32_t generation)
+{
+    const Instance &inst = instances_[instanceId];
+    if (!inst.live || inst.busy || inst.generation != generation)
         return;
-    const uint64_t gen = it->second.generation;
-    const SimTime window = keepAliveNow();
-    events_.scheduleAfter(window, [this, instanceId, gen] {
-        auto jt = instances_.find(instanceId);
-        if (jt == instances_.end() || !jt->second.live ||
-            jt->second.busy || jt->second.generation != gen) {
-            return;
-        }
-        const SimTime idle = events_.now() - jt->second.idleSince;
-        if (idle >= keepAliveNow()) {
-            evict(instanceId);
-        } else {
-            scheduleEviction(instanceId);
-        }
-    });
+    const SimTime idle = events_.now() - inst.idleSince;
+    if (idle >= keepAliveNow())
+        evict(instanceId);
+    else
+        scheduleEviction(instanceId);
 }
 
 void
 PorterSim::evict(uint64_t instanceId, bool drainQueue)
 {
-    auto it = instances_.find(instanceId);
-    if (it == instances_.end() || !it->second.live)
-        return;
-    Instance &inst = it->second;
-    CXLF_ASSERT(!inst.busy);
-    const uint32_t nodeIdx = inst.node;
+    Instance &inst = instances_[instanceId];
+    CXLF_ASSERT(inst.live && !inst.busy);
+    markBusy(instanceId);
     nodes_[inst.node].memUsed -= inst.memBytes;
     inst.live = false;
-    instances_.erase(it);
     ++metrics_.evictions;
-    note("evict", nodeIdx);
+    note("evict", inst.node);
     // Reclaim paths must not re-enter the spawn logic mid-reclaim, or
     // queued requests would steal the memory being freed.
     if (drainQueue)
@@ -609,20 +702,11 @@ bool
 PorterSim::reclaimOnNode(uint32_t node, uint64_t needBytes)
 {
     NodeState &ns = nodes_[node];
+    // Evict the longest-idle instances on this node (ties: lowest id).
     while (freeBytes(ns) < needBytes) {
-        // Evict the longest-idle instance on this node.
-        uint64_t victim = 0;
-        SimTime oldest = events_.now() + SimTime::sec(1);
-        for (const auto &[id, inst] : instances_) {
-            if (inst.live && !inst.busy && inst.node == node &&
-                inst.idleSince < oldest) {
-                oldest = inst.idleSince;
-                victim = id;
-            }
-        }
-        if (victim == 0)
+        if (ns.idle.empty())
             return false;
-        evict(victim, /*drainQueue=*/false);
+        evict(ns.idle.front().id, /*drainQueue=*/false);
     }
     return true;
 }
@@ -638,11 +722,7 @@ PorterSim::pickNode(uint64_t needBytes) const
             continue;
         // Free now plus what idle instances could release.
         const uint64_t freeNow = freeBytes(n);
-        uint64_t reclaimable = freeNow;
-        for (const auto &[id, inst] : instances_) {
-            if (inst.live && !inst.busy && inst.node == i)
-                reclaimable += inst.memBytes;
-        }
+        const uint64_t reclaimable = freeNow + n.idleBytes;
         if (reclaimable >= needBytes && (best == ~0u || freeNow > bestFree)) {
             best = i;
             bestFree = freeNow;
@@ -677,14 +757,16 @@ PorterSim::controllerTick()
                     profileFor(i, os::TieringPolicy::Hybrid);
                 const uint64_t newMem =
                     hyb.localBytesAfterExec + kShellBytes;
-                for (auto &[id, inst] : instances_) {
+                for (Instance &inst : instances_) {
                     if (!inst.live || inst.fnIdx != i ||
                         inst.policy == os::TieringPolicy::Hybrid) {
                         continue;
                     }
                     if (newMem > inst.memBytes) {
-                        nodes_[inst.node].memUsed +=
-                            newMem - inst.memBytes;
+                        NodeState &ns = nodes_[inst.node];
+                        ns.memUsed += newMem - inst.memBytes;
+                        if (!inst.busy)
+                            ns.idleBytes += newMem - inst.memBytes;
                         inst.memBytes = newMem;
                         metrics_.peakMemBytes =
                             std::max(metrics_.peakMemBytes,
@@ -705,10 +787,9 @@ PorterSim::controllerTick()
     }
 
     // Keep ticking while there is work left.
-    if (!events_.empty()) {
+    if (!events_.empty() || nextArrival_ < trace_->size())
         events_.scheduleAfter(cfg_.controllerPeriod,
-                              [this] { controllerTick(); });
-    }
+                              EventKind::ControllerTick);
 }
 
 void
@@ -717,18 +798,13 @@ PorterSim::drainMemQueue()
     // Retry queued requests; stop at the first one that still cannot
     // be placed to preserve FIFO fairness.
     while (!memQueue_.empty()) {
-        PendingRequest pending = memQueue_.front();
-        if (tryWarmHit(pending.req, pending.enqueued)) {
+        const uint32_t req = memQueue_.front();
+        if (tryWarmHit(req)) {
             memQueue_.pop_front();
             continue;
         }
         // Probe placement without enqueueing again on failure.
-        const auto fnIdx = uint32_t(
-            std::find_if(functions_.begin(), functions_.end(),
-                         [&](const auto &f) {
-                             return f.name == pending.req.function;
-                         }) -
-            functions_.begin());
+        const uint32_t fnIdx = reqFn_[req];
         const FnState &fn = fnStates_[fnIdx];
         const PerfProfile &prof = profileFor(fnIdx, fn.restorePolicy);
         const uint64_t memNeed =
@@ -738,7 +814,7 @@ PorterSim::drainMemQueue()
         if (pickNode(memNeed) == ~0u)
             break;
         memQueue_.pop_front();
-        spawnAndRun(pending.req, pending.enqueued);
+        spawnAndRun(req);
     }
 }
 

@@ -168,38 +168,50 @@ class PorterSim
                              sim::MetricsRegistry *metrics);
 
   private:
+    /** The typed records of the event queue (arrivals come from a cursor). */
+    enum class EventKind : uint8_t {
+        Complete,       ///< id: instance, arg: request index.
+        EvictionCheck,  ///< id: instance, arg: its generation.
+        GhostRefill,    ///< arg: function index.
+        ControllerTick,
+        Crash,          ///< arg: node.
+        Recover,        ///< arg: node.
+    };
+    using EventQueue = sim::EventQueue<EventKind>;
+
     struct Instance
     {
         uint32_t fnIdx = 0;
         uint32_t node = 0;
         bool busy = false;
+        bool live = true;    ///< False once evicted or lost to a crash.
+        bool waiting = false;///< Parked on its node's core queue.
+        os::TieringPolicy policy = os::TieringPolicy::MigrateOnWrite;
+        uint32_t generation = 0; ///< Guards stale eviction timers.
+        uint32_t waitReq = 0;    ///< Request index while waiting.
+        sim::SimTime waitDuration;
         sim::SimTime idleSince;
         uint64_t memBytes = 0;
-        os::TieringPolicy policy = os::TieringPolicy::MigrateOnWrite;
-        uint64_t generation = 0; ///< Guards stale eviction timers.
-        bool live = true;
+    };
+
+    /** Position of an idle instance in its node's LRU order. */
+    struct IdleKey
+    {
+        sim::SimTime since;
+        uint64_t id = 0;
+
+        auto operator<=>(const IdleKey &) const = default;
     };
 
     struct NodeState
     {
         uint64_t memCapacity = 0;
         uint64_t memUsed = 0;
+        uint64_t idleBytes = 0; ///< memBytes of the node's idle instances.
         uint32_t busyCores = 0;
         bool up = true;
-        std::deque<uint64_t> coreQueue; ///< request ids waiting for a core
-    };
-
-    struct PendingRequest
-    {
-        Request req;
-        sim::SimTime enqueued;
-    };
-
-    struct CoreWaiter
-    {
-        Request req;
-        sim::SimTime arrival;
-        sim::SimTime duration;
+        std::deque<uint64_t> coreQueue; ///< waiting instance ids
+        std::vector<IdleKey> idle;      ///< idle instances, oldest first
     };
 
     struct FnState
@@ -217,15 +229,20 @@ class PorterSim
         os::TieringPolicy restorePolicy =
             os::TieringPolicy::MigrateOnWrite;
         sim::Summary recentLatencyMs; ///< Since the last controller tick.
+        sim::Histogram latency;       ///< This run's request latencies.
     };
 
-    void arrive(const Request &req);
-    void dispatch(const Request &req, sim::SimTime arrival);
-    bool tryWarmHit(const Request &req, sim::SimTime arrival);
-    void spawnAndRun(const Request &req, sim::SimTime arrival);
-    void complete(uint64_t instanceId, const Request &req,
-                  sim::SimTime arrival, sim::SimTime execStart);
+    void handle(const EventQueue::Event &ev);
+    void dispatch(uint32_t req);
+    bool tryWarmHit(uint32_t req);
+    void spawnAndRun(uint32_t req);
+    void startOrQueue(uint64_t instanceId, uint32_t req,
+                      sim::SimTime duration);
+    void complete(uint64_t instanceId, uint32_t req);
+    void markIdle(uint64_t instanceId);
+    void markBusy(uint64_t instanceId);
     void scheduleEviction(uint64_t instanceId);
+    void checkEviction(uint64_t instanceId, uint32_t generation);
     void evict(uint64_t instanceId, bool drainQueue = true);
     uint64_t freeBytes(const NodeState &n) const
     {
@@ -240,26 +257,45 @@ class PorterSim
                                  const PerfProfile &prof) const;
     void chargeCheckpoint(FnState &fn, const PerfProfile &prof);
     void releaseCheckpoint(FnState &fn);
-    void scheduleCrashes(const std::vector<Request> &trace);
+    void scheduleCrashes(sim::SimTime begin, sim::SimTime horizon);
     void crashNode(uint32_t node);
     void recoverNode(uint32_t node);
     double memPressure() const;
     sim::SimTime keepAliveNow() const;
     void note(const char *event, uint32_t track);
+    sim::SimTime arrivalOf(uint32_t req) const
+    {
+        return (*trace_)[req].arrival;
+    }
+    std::vector<uint64_t> &idleOf(uint32_t fnIdx, uint32_t node)
+    {
+        return idleByFn_[size_t(fnIdx) * nodes_.size() + node];
+    }
 
     const PerfProfile &profileFor(uint32_t fnIdx, os::TieringPolicy policy);
 
     PorterConfig cfg_;
     std::vector<faas::FunctionSpec> functions_;
     PerfModel &perf_;
+    /** (function, policy) -> profile, filled on first use. */
+    std::vector<const PerfProfile *> profiles_;
 
-    sim::EventQueue events_;
+    EventQueue events_;
     std::vector<NodeState> nodes_;
     std::vector<FnState> fnStates_;
-    std::map<uint64_t, Instance> instances_;
-    uint64_t nextInstanceId_ = 1;
-    std::deque<PendingRequest> memQueue_;
-    std::map<uint64_t, CoreWaiter> coreWaiters_;
+    /** Every instance this sim created, indexed by id (never reused). */
+    std::vector<Instance> instances_;
+    /** Idle instance ids per (function, node), ascending. */
+    std::vector<std::vector<uint64_t>> idleByFn_;
+
+    // The trace being replayed: each request's function index and the
+    // arrival order (empty when the trace is already sorted).
+    const std::vector<Request> *trace_ = nullptr;
+    std::vector<uint32_t> reqFn_;
+    std::vector<uint32_t> arrivalOrder_;
+    size_t nextArrival_ = 0;
+
+    std::deque<uint32_t> memQueue_; ///< request indexes waiting for memory
     sim::SimTime abitAccum_;
     uint64_t cxlUsed_ = 0;
     /** Resident checkpoints per content group (dedupCapacity only). */

@@ -51,15 +51,14 @@ ladderRungName(LadderRung r)
 FailoverOutcome
 restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
                     const std::shared_ptr<rfork::CheckpointHandle> &handle,
-                    const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts)
+                    const std::vector<mem::NodeId> &targets)
 {
     FailoverOutcome out;
     sim::MetricsRegistry &m = cluster.machine().metrics();
     for (size_t i = 0; i < targets.size(); ++i) {
         os::NodeOs &target = cluster.node(targets[i]);
         const sim::SimTime before = target.clock().now();
-        rfork::RestoreOutcome attempt = mech.tryRestore(handle, target, opts);
+        rfork::RestoreOutcome attempt = mech.tryRestore(handle, target);
         out.latency += target.clock().now() - before;
         out.outcome = std::move(attempt);
         if (out.outcome) {

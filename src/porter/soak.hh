@@ -95,8 +95,7 @@ struct FailoverOutcome
 FailoverOutcome
 restoreWithFailover(Cluster &cluster, rfork::RemoteForkMechanism &mech,
                     const std::shared_ptr<rfork::CheckpointHandle> &handle,
-                    const std::vector<mem::NodeId> &targets,
-                    const rfork::RestoreOptions &opts = {});
+                    const std::vector<mem::NodeId> &targets);
 
 /**
  * One soak campaign. The defaults are the weather-free crash-site

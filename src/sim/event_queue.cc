@@ -5,33 +5,10 @@
 namespace cxlfork::sim {
 
 void
-EventQueue::schedule(SimTime t, Callback cb)
+eventInThePast(SimTime t, SimTime now)
 {
-    if (t < now_)
-        panic("EventQueue::schedule in the past (%f < %f ns)",
-              t.toNs(), now_.toNs());
-    heap_.push(Item{t, nextSeq_++, std::move(cb)});
-}
-
-bool
-EventQueue::step()
-{
-    if (heap_.empty())
-        return false;
-    // priority_queue::top is const; move out via const_cast is the
-    // standard idiom for move-only payload-bearing heaps.
-    Item item = std::move(const_cast<Item &>(heap_.top()));
-    heap_.pop();
-    now_ = item.when;
-    item.cb();
-    return true;
-}
-
-void
-EventQueue::run(SimTime horizon)
-{
-    while (!heap_.empty() && heap_.top().when <= horizon)
-        step();
+    panic("EventQueue: event in the past (%f < %f ns)", t.toNs(),
+          now.toNs());
 }
 
 } // namespace cxlfork::sim

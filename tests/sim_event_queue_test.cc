@@ -9,65 +9,116 @@ namespace {
 
 using namespace time_literals;
 
+enum class Kind : uint8_t { Record, Spawn };
+using Queue = EventQueue<Kind>;
+
 TEST(EventQueue, DispatchesInTimeOrder)
 {
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(3_ms, [&] { order.push_back(3); });
-    q.schedule(1_ms, [&] { order.push_back(1); });
-    q.schedule(2_ms, [&] { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    Queue q;
+    std::vector<uint32_t> order;
+    q.schedule(3_ms, Kind::Record, 0, 3);
+    q.schedule(1_ms, Kind::Record, 0, 1);
+    q.schedule(2_ms, Kind::Record, 0, 2);
+    q.run([&](const Queue::Event &ev) { order.push_back(ev.arg); });
+    EXPECT_EQ(order, (std::vector<uint32_t>{1, 2, 3}));
     EXPECT_EQ(q.now(), 3_ms);
 }
 
 TEST(EventQueue, TieBreaksByInsertionOrder)
 {
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(1_ms, [&order, i] { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    Queue q;
+    std::vector<uint32_t> order;
+    for (uint32_t i = 0; i < 5; ++i)
+        q.schedule(1_ms, Kind::Record, 0, i);
+    q.run([&](const Queue::Event &ev) { order.push_back(ev.arg); });
+    EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, EventsMayScheduleEvents)
 {
-    EventQueue q;
+    Queue q;
     int fired = 0;
-    q.schedule(1_ms, [&] {
+    q.schedule(1_ms, Kind::Spawn);
+    q.run([&](const Queue::Event &ev) {
         ++fired;
-        q.scheduleAfter(1_ms, [&] { ++fired; });
+        if (ev.kind == Kind::Spawn)
+            q.scheduleAfter(1_ms, Kind::Record);
     });
-    q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), 2_ms);
 }
 
 TEST(EventQueue, HorizonStopsDispatch)
 {
-    EventQueue q;
+    Queue q;
     int fired = 0;
-    q.schedule(1_ms, [&] { ++fired; });
-    q.schedule(10_ms, [&] { ++fired; });
-    q.run(5_ms);
+    q.schedule(1_ms, Kind::Record);
+    q.schedule(10_ms, Kind::Record);
+    q.run([&](const Queue::Event &) { ++fired; }, 5_ms);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
-    EventQueue q;
-    EXPECT_FALSE(q.step());
+    Queue q;
+    EXPECT_FALSE(q.step([](const Queue::Event &) {}));
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RecordsCarryTheirPayload)
+{
+    Queue q;
+    q.schedule(2_ms, Kind::Spawn, uint64_t(1) << 40, 7);
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.top().when, 2_ms);
+    const Queue::Event ev = q.pop();
+    EXPECT_EQ(ev.kind, Kind::Spawn);
+    EXPECT_EQ(ev.id, uint64_t(1) << 40);
+    EXPECT_EQ(ev.arg, 7u);
+    EXPECT_EQ(q.now(), 2_ms);
+}
+
+TEST(EventQueue, ManyRecordsPopInTimeThenInsertionOrder)
+{
+    // Enough records to exercise every level of the heap, with ties.
+    Queue q;
+    for (uint32_t i = 0; i < 1000; ++i)
+        q.schedule(SimTime::us(double((i * 7919) % 97)), Kind::Record, 0,
+                   i);
+    SimTime last;
+    uint32_t lastArg = 0;
+    bool first = true;
+    while (!q.empty()) {
+        const Queue::Event ev = q.pop();
+        if (!first) {
+            ASSERT_LE(last, ev.when);
+            if (last == ev.when) {
+                ASSERT_LT(lastArg, ev.arg);
+            }
+        }
+        first = false;
+        last = ev.when;
+        lastArg = ev.arg;
+    }
+}
+
+TEST(EventQueue, AdvanceToMovesNow)
+{
+    Queue q;
+    q.advanceTo(4_ms);
+    EXPECT_EQ(q.now(), 4_ms);
+    q.scheduleAfter(1_ms, Kind::Record);
+    EXPECT_EQ(q.top().when, 5_ms);
 }
 
 TEST(EventQueue, SchedulingInThePastPanics)
 {
-    EventQueue q;
-    q.schedule(5_ms, [] {});
-    q.run();
-    EXPECT_DEATH(q.schedule(1_ms, [] {}), "past");
+    Queue q;
+    q.schedule(5_ms, Kind::Record);
+    q.run([](const Queue::Event &) {});
+    EXPECT_DEATH(q.schedule(1_ms, Kind::Record), "past");
+    EXPECT_DEATH(q.advanceTo(1_ms), "past");
 }
 
 } // namespace
